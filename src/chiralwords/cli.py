@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from typing import List, Optional
 
 from . import reports
@@ -17,11 +18,9 @@ from .catalog import catalog_groups
 from .engine import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    chirality_report,
     image,
-    is_chiral_pair,
-    is_weakly_chiral_pair,
-    map_set,
-    weak_verdict_from_counts,
+    pair_verdicts,
 )
 from .groups import (
     DEFAULT_AUTO_CAP,
@@ -29,14 +28,17 @@ from .groups import (
     anti_from_auto,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
-    identity_map,
+    gamma_data,
+    inversion_map,
     parse_group_spec,
+    with_inverse,
 )
 from .search import MalformedRecordError, replay, search_chiral
 from .verify import Bounds, run_all, run_suite, summarize
 from .words import Word, WordSyntaxError, parse_word, render_word
 
 THREADS_ENV = "CHIRALWORDS_THREADS"
+MAX_INFERRED_RANK = 64
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -63,9 +65,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_word_arg(text: str, rank: Optional[int]) -> Word:
+    """Without --rank, the rank is the largest generator the word uses."""
     if rank is not None:
         return parse_word(text, rank)
-    probe = parse_word(text, 64)
+    probe = parse_word(text, sys.maxsize)
+    if probe.support_rank > MAX_INFERRED_RANK:
+        raise ValueError(
+            f"word uses x{probe.support_rank}, but without --rank a word may "
+            f"use only x1..x{MAX_INFERRED_RANK}; pass --rank to set the rank")
     return Word(max(probe.support_rank, 1), probe.syllables)
 
 
@@ -145,11 +152,12 @@ def cmd_image(args) -> int:
 
 
 def _select_gammas(g, gamma_arg: Optional[str], auto_cap: int):
-    """None -> all of AA(G); 'inv' -> inversion; 'k' -> k-th auto's anti."""
+    """(gamma, inverse image array) pairs: None -> all of AA(G);
+    'inv' -> inversion; 'k' -> the k-th automorphism's anti."""
     if gamma_arg is None:
-        return list(enumerate_anti_automorphisms(g, auto_cap))
+        return gamma_data(g, auto_cap)
     if gamma_arg == "inv":
-        return [anti_from_auto(identity_map(g))]
+        return [with_inverse(inversion_map(g))]
     try:
         index = int(gamma_arg)
     except ValueError:
@@ -157,22 +165,22 @@ def _select_gammas(g, gamma_arg: Optional[str], auto_cap: int):
     autos = enumerate_automorphisms(g, auto_cap)
     if not 0 <= index < len(autos):
         raise GroupError(f"--gamma index {index} out of range 0..{len(autos) - 1}")
-    return [anti_from_auto(autos[index])]
+    return [with_inverse(anti_from_auto(autos[index]))]
 
 
 def cmd_chiral(args) -> int:
     g = parse_group_spec(args.group)
     w = _parse_word_arg(args.word, args.rank)
-    report = is_chiral_pair(g, w, args.arity, budget=args.budget,
-                            threads=args.threads)
+    start = time.perf_counter()
+    v = pair_verdicts(g, w, args.arity, budget=args.budget,
+                      threads=args.threads)
     gammas = _select_gammas(g, args.gamma, args.auto_cap)
-    member_set = set(report.members)
-    members = tuple(x in member_set for x in g.elements())
-    for i, gamma in enumerate(gammas):
-        gamma_chiral = map_set(gamma, members) != members
-        report.gamma_results.append({"gamma_index": i, "chiral": gamma_chiral})
-    report.all_gammas_agree = all(
-        r["chiral"] == report.chiral for r in report.gamma_results)
+    results = [{"gamma_index": i, "chiral": r.chiral}
+               for i, r in enumerate(v.against(gammas))]
+    report = chirality_report(
+        v, start, chiral=v.chiral, chiral_witness=v.chiral_witness,
+        gamma_results=results,
+        all_gammas_agree=all(r["chiral"] == v.chiral for r in results))
     verdict = "chiral" if report.chiral else "not chiral"
     lines = [f"{g.name}, w = {report.word_text}: {verdict}"]
     if report.chiral_witness is not None:
@@ -188,15 +196,19 @@ def cmd_weak_chiral(args) -> int:
     g = parse_group_spec(args.group)
     w = _parse_word_arg(args.word, args.rank)
     gammas = _select_gammas(g, args.gamma, args.auto_cap)
-    report = is_weakly_chiral_pair(g, w, gammas[0], args.arity,
-                                   budget=args.budget, threads=args.threads)
-    for i, gamma in enumerate(gammas):
-        witness = weak_verdict_from_counts(g, report.counts, gamma)
-        report.gamma_results.append(
-            {"gamma_index": i, "weakly_chiral": witness is not None})
-    report.all_gammas_agree = all(
-        r["weakly_chiral"] == report.weakly_chiral
-        for r in report.gamma_results)
+    start = time.perf_counter()
+    v = pair_verdicts(g, w, args.arity, budget=args.budget,
+                      threads=args.threads)
+    per_gamma = v.against(gammas)
+    # The reported verdict and witness are those of the first gamma.
+    witness = per_gamma[0].weak_witness
+    results = [{"gamma_index": i, "weakly_chiral": r.weak_witness is not None}
+               for i, r in enumerate(per_gamma)]
+    report = chirality_report(
+        v, start, weakly_chiral=witness is not None, weak_witness=witness,
+        counts=v.fibers.counts, gamma_results=results,
+        all_gammas_agree=all(r["weakly_chiral"] == (witness is not None)
+                             for r in results))
     verdict = "weakly chiral" if report.weakly_chiral else "not weakly chiral"
     lines = [f"{g.name}, w = {report.word_text}: {verdict}",
              f"all gammas agree: {report.all_gammas_agree}"]

@@ -11,14 +11,15 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from itertools import compress, product
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .groups import (
     ANTI_AUTOMORPHISM,
     FiniteGroup,
     GroupError,
     GroupMap,
+    with_inverse,
 )
 from .words import FreeAntiAuto, Word, apply_anti, render_word
 
@@ -202,9 +203,8 @@ def invert_set(g: FiniteGroup, members: Sequence[bool]) -> Tuple[bool, ...]:
 def map_set(m: GroupMap, members: Sequence[bool]) -> Tuple[bool, ...]:
     """Image of a membership set under a group map."""
     out = [False] * m.group.order
-    for x, present in enumerate(members):
-        if present:
-            out[m.images[x]] = True
+    for y in compress(m.images, members):
+        out[y] = True
     return tuple(out)
 
 
@@ -256,20 +256,101 @@ def _chiral_witness(g: FiniteGroup, members: Sequence[bool]) -> Optional[int]:
     return None
 
 
+def weak_verdict_from_counts(g: FiniteGroup, counts: Sequence[int],
+                             gamma_inverse: Sequence[int]) -> Optional[int]:
+    """Witness x with counts_w[x] != counts_{w_gamma}[x], or None.
+
+    Uses the fiber identity counts_{w_gamma}[x] = counts_w[gamma^-1(x)];
+    gamma_inverse is the image array of gamma^-1.
+    """
+    for x in g.elements():
+        if counts[x] != counts[gamma_inverse[x]]:
+            return x
+    return None
+
+
+# An anti-automorphism with the image array of its inverse (groups.gamma_data).
+Gamma = Tuple[GroupMap, Sequence[int]]
+
+
+class GammaVerdict(NamedTuple):
+    """The verdicts of one pair under one anti-automorphism gamma."""
+
+    chiral: bool                 # gamma(G_w) != G_w
+    weak_witness: Optional[int]  # some N_w(x) != N_{w_gamma}(x)
+    maps_to_inverse: bool        # gamma(G_w) == (G_w)^-1, as Theorem 2 says
+
+
+class PairVerdicts(NamedTuple):
+    """Image, fibers and the inversion verdicts of one (group, word) pair."""
+
+    image: WordImage
+    fibers: FiberDistribution
+    chiral_witness: Optional[int]
+    weak_witness: Optional[int]
+
+    @property
+    def chiral(self) -> bool:
+        return self.chiral_witness is not None
+
+    @property
+    def weakly_chiral(self) -> bool:
+        return self.weak_witness is not None
+
+    def against(self, gammas: Sequence[Gamma]) -> List[GammaVerdict]:
+        """The per-gamma verdicts, from the image and fibers already held."""
+        g, members = self.image.group, self.image.members
+        inverted = invert_set(g, members)
+        verdicts = []
+        for gamma, gamma_inverse in gammas:
+            mapped = map_set(gamma, members)
+            verdicts.append(GammaVerdict(
+                chiral=mapped != members,
+                weak_witness=weak_verdict_from_counts(
+                    g, self.fibers.counts, gamma_inverse),
+                maps_to_inverse=mapped == inverted))
+        return verdicts
+
+    def agrees_with(self, verdict: GammaVerdict) -> bool:
+        """Whether gamma reproduces both inversion verdicts and Theorem 2."""
+        return (verdict.chiral == self.chiral
+                and (verdict.weak_witness is not None) == self.weakly_chiral
+                and verdict.maps_to_inverse)
+
+
+def pair_verdicts(g: FiniteGroup, w: Word, arity: Optional[int] = None,
+                  budget: int = DEFAULT_BUDGET,
+                  threads: int = 1) -> PairVerdicts:
+    """Scan G^arity once and derive the chiral and weak verdicts against
+    inversion; `PairVerdicts.against` derives them for other gammas."""
+    img, fibers = image(g, w, arity, want_fibers=True,
+                        budget=budget, threads=threads)
+    return PairVerdicts(
+        img, fibers, _chiral_witness(g, img.members),
+        weak_verdict_from_counts(g, fibers.counts, g.inverses))
+
+
+def chirality_report(v: PairVerdicts, start: float,
+                     **verdicts) -> ChiralityReport:
+    """A report on v's pair holding the given verdict fields, timed from
+    `start` (a time.perf_counter() reading)."""
+    img = v.image
+    return ChiralityReport(
+        group_name=img.group.name, group_order=img.group.order,
+        word_text=render_word(img.word), arity=img.arity,
+        evaluations=img.group.order ** img.arity,
+        members=img.member_indices, **verdicts,
+        wall_time_s=time.perf_counter() - start)
+
+
 def is_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
                    budget: int = DEFAULT_BUDGET,
                    threads: int = 1) -> ChiralityReport:
     """Decide whether G_w is closed under inversion."""
     start = time.perf_counter()
-    d = _resolve_arity(w, arity)
-    img = image(g, w, d, budget=budget, threads=threads)
-    witness = _chiral_witness(g, img.members)
-    return ChiralityReport(
-        group_name=g.name, group_order=g.order, word_text=render_word(w),
-        arity=d, evaluations=g.order ** d,
-        chiral=witness is not None, chiral_witness=witness,
-        members=img.member_indices,
-        wall_time_s=time.perf_counter() - start)
+    v = pair_verdicts(g, w, arity, budget, threads)
+    return chirality_report(v, start, chiral=v.chiral,
+                            chiral_witness=v.chiral_witness)
 
 
 def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
@@ -314,19 +395,6 @@ def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
         wall_time_s=time.perf_counter() - start)
 
 
-def weak_verdict_from_counts(g: FiniteGroup, counts: Sequence[int],
-                             gamma: GroupMap) -> Optional[int]:
-    """Witness x with counts_w[x] != counts_{w_gamma}[x], or None.
-
-    Uses the fiber identity counts_{w_gamma}[x] = counts_w[gamma^-1(x)].
-    """
-    gamma_inv = gamma.inverse()
-    for x in g.elements():
-        if counts[x] != counts[gamma_inv.images[x]]:
-            return x
-    return None
-
-
 def is_weakly_chiral_pair(g: FiniteGroup, w: Word, gamma: GroupMap,
                           arity: Optional[int] = None,
                           budget: int = DEFAULT_BUDGET,
@@ -335,13 +403,7 @@ def is_weakly_chiral_pair(g: FiniteGroup, w: Word, gamma: GroupMap,
     if gamma.kind != ANTI_AUTOMORPHISM:
         raise GroupError("gamma must be an anti-automorphism")
     start = time.perf_counter()
-    d = _resolve_arity(w, arity)
-    img, fibers = image(g, w, d, want_fibers=True,
-                        budget=budget, threads=threads)
-    witness = weak_verdict_from_counts(g, fibers.counts, gamma)
-    return ChiralityReport(
-        group_name=g.name, group_order=g.order, word_text=render_word(w),
-        arity=d, evaluations=g.order ** d,
-        weakly_chiral=witness is not None, weak_witness=witness,
-        members=img.member_indices, counts=fibers.counts,
-        wall_time_s=time.perf_counter() - start)
+    v = pair_verdicts(g, w, arity, budget, threads)
+    witness = v.against([with_inverse(gamma)])[0].weak_witness
+    return chirality_report(v, start, weakly_chiral=witness is not None,
+                            weak_witness=witness, counts=v.fibers.counts)

@@ -425,7 +425,14 @@ def is_abelian(g: FiniteGroup) -> bool:
 
 @dataclass(frozen=True)
 class GroupMap:
-    """Bijection of a group verified as automorphism or anti-automorphism."""
+    """Bijection of a group verified as automorphism or anti-automorphism.
+
+    The constructor checks the map's law in O(|G|^2), so it is the entry
+    point for outside data: user-given maps and enumeration results. Maps
+    derived from a checked map or from the group itself (inverses, the
+    A(G) <-> AA(G) correspondence, identity and inversion) obey the law by
+    construction and are built by `_derived`, which skips the check.
+    """
 
     group: FiniteGroup
     images: Tuple[int, ...]
@@ -448,6 +455,16 @@ class GroupMap:
         if not ok:
             raise GroupError(f"map violates the {self.kind} law")
 
+    @classmethod
+    def _derived(cls, group: FiniteGroup, images: Tuple[int, ...],
+                 kind: str) -> "GroupMap":
+        """A map whose law follows from a checked map or the group law."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "group", group)
+        object.__setattr__(m, "images", images)
+        object.__setattr__(m, "kind", kind)
+        return m
+
     def __call__(self, a: int) -> int:
         return self.images[a]
 
@@ -455,11 +472,16 @@ class GroupMap:
         inv = [0] * self.group.order
         for a, fa in enumerate(self.images):
             inv[fa] = a
-        return GroupMap(self.group, tuple(inv), self.kind)
+        return GroupMap._derived(self.group, tuple(inv), self.kind)
 
 
 def identity_map(g: FiniteGroup) -> GroupMap:
-    return GroupMap(g, tuple(g.elements()), AUTOMORPHISM)
+    return GroupMap._derived(g, tuple(g.elements()), AUTOMORPHISM)
+
+
+def inversion_map(g: FiniteGroup) -> GroupMap:
+    """The anti-automorphism x -> x^-1; it is its own inverse."""
+    return GroupMap._derived(g, g.inverses, ANTI_AUTOMORPHISM)
 
 
 def inner_automorphism(g: FiniteGroup, a: int) -> GroupMap:
@@ -475,7 +497,7 @@ def anti_from_auto(zeta: GroupMap) -> GroupMap:
         raise GroupError("expected an automorphism")
     g = zeta.group
     images = tuple(zeta.images[g.inv(x)] for x in g.elements())
-    return GroupMap(g, images, ANTI_AUTOMORPHISM)
+    return GroupMap._derived(g, images, ANTI_AUTOMORPHISM)
 
 
 def auto_from_anti(gamma: GroupMap) -> GroupMap:
@@ -484,7 +506,12 @@ def auto_from_anti(gamma: GroupMap) -> GroupMap:
         raise GroupError("expected an anti-automorphism")
     g = gamma.group
     images = tuple(gamma.images[g.inv(x)] for x in g.elements())
-    return GroupMap(g, images, AUTOMORPHISM)
+    return GroupMap._derived(g, images, AUTOMORPHISM)
+
+
+def with_inverse(gamma: GroupMap) -> Tuple[GroupMap, Tuple[int, ...]]:
+    """A map paired with its inverse image array, as verdicts consume it."""
+    return gamma, gamma.inverse().images
 
 
 def _greedy_generators(g: FiniteGroup) -> List[int]:
@@ -590,6 +617,15 @@ def enumerate_anti_automorphisms(g: FiniteGroup,
                                  cap: int = DEFAULT_AUTO_CAP) -> Tuple[GroupMap, ...]:
     """All anti-automorphisms, via the bijection with automorphisms."""
     return tuple(anti_from_auto(z) for z in enumerate_automorphisms(g, cap))
+
+
+@functools.lru_cache(maxsize=None)
+def gamma_data(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP
+               ) -> Tuple[Tuple[GroupMap, Tuple[int, ...]], ...]:
+    """Each anti-automorphism of g, in enumeration order, with its inverse
+    image array: the per-group data every gamma verdict reads."""
+    return tuple(with_inverse(gamma)
+                 for gamma in enumerate_anti_automorphisms(g, cap))
 
 
 def is_isomorphic(g: FiniteGroup, h: FiniteGroup,

@@ -13,20 +13,11 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import catalog_groups
-from .engine import (
-    BudgetExceededError,
-    _chiral_witness,
-    image,
-    invert_set,
-    map_set,
-    weak_verdict_from_counts,
-)
+from .engine import BudgetExceededError, pair_verdicts
 from .groups import (
     CapExceededError,
     FiniteGroup,
-    anti_from_auto,
-    enumerate_anti_automorphisms,
-    identity_map,
+    gamma_data,
     is_abelian,
     parse_group_spec,
 )
@@ -84,36 +75,23 @@ def _scan_pair(spec: str, g: FiniteGroup, w: Word, auto_cap: int,
                budget: int, threads: int) -> Finding:
     d = w.rank
     try:
-        img, fibers = image(g, w, d, want_fibers=True,
-                            budget=budget, threads=threads)
+        v = pair_verdicts(g, w, d, budget=budget, threads=threads)
     except BudgetExceededError as exc:
         return Finding(spec, g.order, render_word(w), d, None, None, None,
                        None, None, None, 0, skipped=str(exc))
-    chiral_witness = _chiral_witness(g, img.members)
-    inversion = anti_from_auto(identity_map(g))
-    weak_witness = weak_verdict_from_counts(g, fibers.counts, inversion)
-    gammas_agree: Optional[bool] = None
+    gammas_agree: Optional[bool]
     try:
-        gammas = enumerate_anti_automorphisms(g, auto_cap)
-    except CapExceededError:
-        gammas = None
-    if gammas is not None:
-        inverted = invert_set(g, img.members)
-        gammas_agree = True
-        for gamma in gammas:
-            gamma_chiral = map_set(gamma, img.members) != img.members
-            weak = weak_verdict_from_counts(g, fibers.counts, gamma)
-            if (gamma_chiral != (chiral_witness is not None)
-                    or (weak is not None) != (weak_witness is not None)
-                    or map_set(gamma, img.members) != inverted):
-                gammas_agree = False
+        gammas = gamma_data(g, auto_cap)
+    except CapExceededError:  # AA(G) not enumerated: agreement unknown
+        gammas_agree = None
+    else:
+        gammas_agree = all(v.agrees_with(r) for r in v.against(gammas))
     return Finding(
         group_spec=spec, group_order=g.order, word_text=render_word(w),
-        arity=d, chiral=chiral_witness is not None,
-        weakly_chiral=weak_witness is not None,
+        arity=d, chiral=v.chiral, weakly_chiral=v.weakly_chiral,
         gammas_agree=gammas_agree,
-        chiral_witness=chiral_witness, weak_witness=weak_witness,
-        image_size=img.size, evaluations=g.order ** d)
+        chiral_witness=v.chiral_witness, weak_witness=v.weak_witness,
+        image_size=v.image.size, evaluations=g.order ** d)
 
 
 def _is_power_word(w: Word) -> bool:

@@ -13,7 +13,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .catalog import catalog_groups
 from .engine import (
@@ -27,11 +27,13 @@ from .engine import (
 from .groups import (
     CapExceededError,
     FiniteGroup,
-    anti_from_auto,
+    enumerate_anti_automorphisms,
     enumerate_automorphisms,
+    gamma_data,
 )
 from .words import (
     FreeAntiAuto,
+    FreeGroupEndo,
     Word,
     apply_anti,
     canonical_form,
@@ -126,6 +128,15 @@ def _grid(bounds: Bounds) -> Iterable[Tuple[str, FiniteGroup, Word]]:
             yield spec, g, w
 
 
+def _sampled_autos(bounds: Bounds, label: str, w: Word,
+                   count: int) -> List[FreeGroupEndo]:
+    """The seeded random automorphisms a suite applies to w."""
+    return [random_automorphism(
+        bounds.rank, bounds.theta_length,
+        derived_seed(bounds.seed, label, render_word(w), i))
+        for i in range(count)]
+
+
 def _skip(report: VerificationReport, spec: str, w: Word, reason: str) -> None:
     report.skipped.append(
         {"group": spec, "word": render_word(w), "reason": reason})
@@ -136,6 +147,7 @@ def verify_lemma(bounds: Bounds) -> VerificationReport:
     for every zeta in A(G)."""
     report = VerificationReport("lemma1", bounds)
     start = time.perf_counter()
+    samples: Dict[Word, List[Tuple[FreeGroupEndo, Word]]] = {}
     for spec, g, w in _grid(bounds):
         try:
             autos = enumerate_automorphisms(g, bounds.auto_cap)
@@ -143,11 +155,11 @@ def verify_lemma(bounds: Bounds) -> VerificationReport:
         except (BudgetExceededError, CapExceededError) as exc:
             _skip(report, spec, w, str(exc))
             continue
-        for i in range(bounds.theta_samples):
-            theta = random_automorphism(
-                bounds.rank, bounds.theta_length,
-                derived_seed(bounds.seed, "lemma-theta", render_word(w), i))
-            tw = substitute(w, theta)
+        if w not in samples:  # theta and theta(w) do not depend on the group
+            samples[w] = [(theta, substitute(w, theta)) for theta in
+                          _sampled_autos(bounds, "lemma-theta", w,
+                                         bounds.theta_samples)]
+        for theta, tw in samples[w]:
             try:
                 img2 = image(g, tw, max(w.rank, tw.support_rank),
                              budget=bounds.budget, threads=bounds.threads)
@@ -182,6 +194,7 @@ def verify_theorem1(bounds: Bounds) -> VerificationReport:
     chirality and word gamma-chirality verdicts coincide."""
     report = VerificationReport("thm1", bounds)
     start = time.perf_counter()
+    samples: Dict[Word, List[Tuple[FreeGroupEndo, Word]]] = {}
     for spec, g, w in _grid(bounds):
         try:
             inv_img = image(g, invert(w), budget=bounds.budget,
@@ -189,12 +202,11 @@ def verify_theorem1(bounds: Bounds) -> VerificationReport:
         except BudgetExceededError as exc:
             _skip(report, spec, w, str(exc))
             continue
-        for i in range(bounds.gamma_samples):
-            theta = random_automorphism(
-                bounds.rank, bounds.theta_length,
-                derived_seed(bounds.seed, "thm1-gamma", render_word(w), i))
-            gamma = FreeAntiAuto(theta)
-            gw = apply_anti(w, gamma)
+        if w not in samples:  # gamma and gamma(w) do not depend on the group
+            samples[w] = [(theta, apply_anti(w, FreeAntiAuto(theta))) for theta
+                          in _sampled_autos(bounds, "thm1-gamma", w,
+                                            bounds.gamma_samples)]
+        for theta, gw in samples[w]:
             try:
                 img = image(g, gw, max(w.rank, gw.support_rank),
                             budget=bounds.budget, threads=bounds.threads)
@@ -222,14 +234,13 @@ def verify_theorem2(bounds: Bounds) -> VerificationReport:
     start = time.perf_counter()
     for spec, g, w in _grid(bounds):
         try:
-            autos = enumerate_automorphisms(g, bounds.auto_cap)
+            antis = enumerate_anti_automorphisms(g, bounds.auto_cap)
             img = image(g, w, budget=bounds.budget, threads=bounds.threads)
         except (BudgetExceededError, CapExceededError) as exc:
             _skip(report, spec, w, str(exc))
             continue
         inverted = invert_set(g, img.members)
-        for zi, zeta in enumerate(autos):
-            gamma = anti_from_auto(zeta)
+        for zi, gamma in enumerate(antis):
             report.cases += 1
             if map_set(gamma, img.members) != inverted:
                 report.record_failure({
@@ -250,7 +261,7 @@ def verify_remark(bounds: Bounds) -> VerificationReport:
     start = time.perf_counter()
     for spec, g, w in _grid(bounds):
         try:
-            autos = enumerate_automorphisms(g, bounds.auto_cap)
+            gammas = gamma_data(g, bounds.auto_cap)
             _, fibers = image(g, w, want_fibers=True,
                               budget=bounds.budget, threads=bounds.threads)
         except (BudgetExceededError, CapExceededError) as exc:
@@ -260,14 +271,11 @@ def verify_remark(bounds: Bounds) -> VerificationReport:
         values = [evaluate(g, w, tup)
                   for tup in iter_product(range(g.order), repeat=w.rank)]
         verdicts = []
-        for zi, zeta in enumerate(autos):
-            gamma = anti_from_auto(zeta)
-            gamma_inv = gamma.inverse()
+        for zi, (gamma, gamma_inv) in enumerate(gammas):
             twisted_direct = [0] * g.order
             for v in values:
                 twisted_direct[gamma.images[v]] += 1
-            predicted = [fibers.counts[gamma_inv.images[x]]
-                         for x in g.elements()]
+            predicted = [fibers.counts[gamma_inv[x]] for x in g.elements()]
             report.cases += 1
             if twisted_direct != predicted:
                 report.record_failure({
@@ -277,7 +285,7 @@ def verify_remark(bounds: Bounds) -> VerificationReport:
                     "direct_counts": twisted_direct,
                     "predicted_counts": predicted,
                 })
-            witness = weak_verdict_from_counts(g, fibers.counts, gamma)
+            witness = weak_verdict_from_counts(g, fibers.counts, gamma_inv)
             verdicts.append(witness is not None)
         report.cases += 1
         if len(set(verdicts)) > 1:

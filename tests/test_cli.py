@@ -161,3 +161,14 @@ def test_human_format_default(capsys):
     code, out, _ = run(capsys, "chiral", "--group", "C6", "--word", "x1 x2")
     assert code == 0
     assert "not chiral" in out
+
+
+def test_word_beyond_inferred_rank_names_the_limit(capsys):
+    code, _, err = run(capsys, "image", "--group", "S3", "--word", "x65")
+    assert code == 2
+    assert "x1..x64" in err and "--rank" in err
+    assert "exceeds rank 64" not in err
+    code, out, _ = run(capsys, "image", "--group", "C1", "--word", "x65",
+                       "--rank", "65", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["arity"] == 65

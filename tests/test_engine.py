@@ -14,14 +14,19 @@ from chiralwords.engine import (
     is_weakly_chiral_pair,
     map_set,
     naive_image,
+    pair_verdicts,
 )
 from chiralwords.groups import (
+    ANTI_AUTOMORPHISM,
+    GroupMap,
     anti_from_auto,
     build_family,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
     identity_map,
+    inversion_map,
     parse_group_spec,
+    with_inverse,
 )
 from chiralwords.words import (
     FreeAntiAuto,
@@ -306,3 +311,22 @@ def test_report_structured_fields():
     assert doc["word"] == "x1*x2*x1^-1*x2^-1"
     assert doc["chiral"] is False
     assert doc["evaluations"] == 36
+
+
+def test_gamma_verdicts_catch_a_bad_gamma():
+    g = build_family("S3")
+    v = pair_verdicts(g, parse_word("x1^2", 1))  # G_w = {e} + 3-cycles
+    inversion = v.against([with_inverse(inversion_map(g))])[0]
+    assert inversion.chiral == v.chiral
+    assert inversion.weak_witness == v.weak_witness
+    assert inversion.maps_to_inverse and v.agrees_with(inversion)
+    # A bijection swapping a 3-cycle with a transposition is no
+    # anti-automorphism; it is built unchecked so the verdicts must see it.
+    swap = list(g.elements())
+    a, b = g.labels.index("(1 2 3)"), g.labels.index("(1 2)")
+    swap[a], swap[b] = b, a
+    bad = GroupMap._derived(g, tuple(swap), ANTI_AUTOMORPHISM)
+    verdict = v.against([with_inverse(bad)])[0]
+    assert verdict.chiral and not verdict.maps_to_inverse
+    assert verdict.weak_witness == min(a, b)
+    assert not v.agrees_with(verdict)
