@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import List, Optional
@@ -37,7 +36,6 @@ from .search import MalformedRecordError, replay, search_chiral
 from .verify import Bounds, run_all, run_suite, summarize
 from .words import Word, WordSyntaxError, parse_word, render_word
 
-THREADS_ENV = "CHIRALWORDS_THREADS"
 MAX_INFERRED_RANK = 64
 
 EXIT_OK = 0
@@ -46,18 +44,11 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["human", "structured"],
                         default="human", help="output rendering")
-    parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help=f"internal parallelism (env {THREADS_ENV})")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="max tuple evaluations per image")
     parser.add_argument("--auto-cap", type=int, default=DEFAULT_AUTO_CAP,
@@ -131,7 +122,7 @@ def cmd_image(args) -> int:
     g = parse_group_spec(args.group)
     w = _parse_word_arg(args.word, args.rank)
     img, fibers = image(g, w, args.arity, want_fibers=True,
-                        budget=args.budget, threads=args.threads)
+                        budget=args.budget)
     members = img.member_indices
     lines = [f"G = {g.name} (order {g.order}), w = {render_word(w)}, "
              f"arity {img.arity}",
@@ -172,8 +163,7 @@ def cmd_chiral(args) -> int:
     g = parse_group_spec(args.group)
     w = _parse_word_arg(args.word, args.rank)
     start = time.perf_counter()
-    v = pair_verdicts(g, w, args.arity, budget=args.budget,
-                      threads=args.threads)
+    v = pair_verdicts(g, w, args.arity, budget=args.budget)
     gammas = _select_gammas(g, args.gamma, args.auto_cap)
     results = [{"gamma_index": i, "chiral": r.chiral}
                for i, r in enumerate(v.against(gammas))]
@@ -197,8 +187,7 @@ def cmd_weak_chiral(args) -> int:
     w = _parse_word_arg(args.word, args.rank)
     gammas = _select_gammas(g, args.gamma, args.auto_cap)
     start = time.perf_counter()
-    v = pair_verdicts(g, w, args.arity, budget=args.budget,
-                      threads=args.threads)
+    v = pair_verdicts(g, w, args.arity, budget=args.budget)
     per_gamma = v.against(gammas)
     # The reported verdict and witness are those of the first gamma.
     witness = per_gamma[0].weak_witness
@@ -224,7 +213,6 @@ def cmd_verify(args) -> int:
         rank=args.rank, theta_samples=args.theta_samples,
         gamma_samples=args.gamma_samples, theta_length=args.theta_length,
         seed=args.seed, auto_cap=args.auto_cap, budget=args.budget,
-        threads=args.threads,
         families=tuple(args.families) if args.families else None)
     if args.suite == "all":
         results = run_all(bounds)
@@ -253,7 +241,7 @@ def cmd_search(args) -> int:
         for finding in search_chiral(
                 args.rank, args.max_len, args.max_order,
                 families=args.families, auto_cap=args.auto_cap,
-                budget=args.budget, threads=args.threads, full=args.full):
+                budget=args.budget, full=args.full):
             sink.write(reports.dumps_line(finding.to_record()) + "\n")
             count += 1
     finally:
@@ -277,7 +265,7 @@ def cmd_replay(args) -> int:
                 raise MalformedRecordError(
                     f"line {lineno}: invalid JSON: {exc}") from None
             ok, mismatches = replay(record, auto_cap=args.auto_cap,
-                                    budget=args.budget, threads=args.threads)
+                                    budget=args.budget)
             if ok:
                 print(f"line {lineno}: pass")
             else:

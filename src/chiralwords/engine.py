@@ -1,15 +1,14 @@
 """Word-map evaluation over G^d: images, fibers, and chirality verdicts.
 
-The optimized image computation iterates tuples odometer-style (rightmost
-coordinate fastest) and caches prefix products of the word's syllables, so
-an increment of coordinate k only recomputes the syllables that read a
-changed coordinate. `naive_image` is the independent reference path.
+The optimized image computation scans one first coordinate per conjugacy
+class, weighted by the class size, since fiber counts are class functions;
+it evaluates blocks of trailing coordinates at once and skips coordinates
+the word does not read. `naive_image` is the independent reference path.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import compress, product
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -19,6 +18,7 @@ from .groups import (
     FiniteGroup,
     GroupError,
     GroupMap,
+    conjugacy_classes,
     with_inverse,
 )
 from .words import FreeAntiAuto, Word, apply_anti, render_word
@@ -101,66 +101,99 @@ def _check_budget(g: FiniteGroup, arity: int, budget: int) -> int:
     return total
 
 
-def _scan_counts(g: FiniteGroup, w: Word, arity: int,
-                 lo: int, hi: int) -> List[int]:
-    """Fiber counts over tuples whose first coordinate lies in [lo, hi)."""
-    n = g.order
-    counts = [0] * n
-    if lo >= hi:
-        return counts
-    if arity == 0:
-        counts[0] += 1  # the empty tuple maps to the identity
-        return counts
-    sylls = w.syllables
-    m = len(sylls)
+def _power_table(g: FiniteGroup, exp: int) -> List[int]:
+    """a^exp for every element a, by square-and-multiply over all of G at
+    once."""
     table = g.table
-    # Per-syllable powers of every group element.
-    pows = [[g.power(a, exp) for a in range(n)] for _, exp in sylls]
-    coords = [gen - 1 for gen, _ in sylls]
-    # first_dirty[k] = first syllable reading any coordinate >= k; when the
-    # odometer increments coordinate k, prefixes before it stay valid.
-    first_dirty = [m] * (arity + 1)
-    for k in range(arity - 1, -1, -1):
-        eq = min((j for j in range(m) if coords[j] == k), default=m)
-        first_dirty[k] = min(first_dirty[k + 1], eq)
-    tup = [0] * arity
-    tup[0] = lo
-    prefix = [0] * (m + 1)
+    base = list(g.inverses) if exp < 0 else list(g.elements())
+    result = [0] * g.order
+    k = abs(exp)
+    while k:
+        if k & 1:
+            result = [table[r][b] for r, b in zip(result, base)]
+        k >>= 1
+        if k:
+            base = [table[b][b] for b in base]
+    return result
 
-    def recompute(start: int) -> None:
-        for j in range(start, m):
-            prefix[j + 1] = table[prefix[j]][pows[j][tup[coords[j]]]]
 
-    recompute(0)
-    while True:
-        counts[prefix[m]] += 1
-        k = arity - 1
-        while True:
-            tup[k] += 1
-            bound = hi if k == 0 else n
-            if tup[k] < bound:
-                break
-            if k == 0:
-                return counts
-            tup[k] = 0
-            k -= 1
-        recompute(first_dirty[k])
+# The most tuples of the trailing coordinates that one scan step covers.
+SCAN_BLOCK = 256
 
 
 def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
-                  budget: int, threads: int) -> List[int]:
+                  budget: int) -> List[int]:
+    """Exact fiber counts of w over G^arity, from a class-weighted scan.
+
+    Only the coordinates the word reads are scanned; each unread one
+    multiplies every count by |G|. Conjugation by h maps the tuples with
+    first scanned coordinate r onto those with first coordinate h r h^-1
+    and conjugates their values, so the counts are class functions. The
+    first coordinate therefore runs over one representative r per
+    conjugacy class, weighted by |class(r)|, and each class's weighted
+    total is then shared equally among its members. On abelian groups
+    every class is a singleton and this is the full scan.
+
+    The trailing coordinates, as many as fit in SCAN_BLOCK tuples (the
+    first coordinate stays outside when there are others), are covered at
+    once: one list comprehension per syllable over the whole block. The
+    coordinates before them run as an odometer, and the syllables before
+    the first one that reads the block give a prefix that is constant
+    across it.
+    """
     _check_budget(g, arity, budget)
-    if arity == 0 or threads <= 1 or g.order < 2:
-        return _scan_counts(g, w, arity, 0, max(g.order, 1) if arity else 1)
-    # Partition by first-coordinate ranges; count merging is commutative,
-    # so the result is independent of the partitioning.
-    parts = min(threads, g.order)
-    bounds = [round(i * g.order / parts) for i in range(parts + 1)]
-    with ThreadPoolExecutor(max_workers=parts) as pool:
-        futures = [pool.submit(_scan_counts, g, w, arity, bounds[i], bounds[i + 1])
-                   for i in range(parts)]
-        partials = [f.result() for f in futures]
-    return [sum(col) for col in zip(*partials)]
+    n, table = g.order, g.table
+    counts = [0] * n
+    read = sorted({gen for gen, _ in w.syllables})
+    if not read:  # the identity word: every tuple maps to the identity
+        counts[0] = n ** arity
+        return counts
+    k = len(read)
+    inner = k - 1  # the block is coordinates inner..k-1
+    while inner > 1 and n ** (k - inner + 1) <= SCAN_BLOCK:
+        inner -= 1
+    block = list(product(range(n), repeat=k - inner))
+    slot = {gen: i for i, gen in enumerate(read)}
+    # Per-syllable powers, built once per call: indexed by element outside
+    # the block and by block tuple inside it.
+    sylls = []
+    for gen, exp in w.syllables:
+        c = slot[gen]
+        pows = _power_table(g, exp)
+        if c >= inner:
+            pows = [pows[t[c - inner]] for t in block]
+        sylls.append((c, pows))
+    s = next(j for j, (c, _) in enumerate(sylls) if c >= inner)
+    head, first_pows, tail = sylls[:s], sylls[s][1], sylls[s + 1:]
+    cols = list(zip(*table))  # cols[c][v] = v * c
+    classes = conjugacy_classes(g) if inner else ()
+    class_size = {cls[0]: len(cls) for cls in classes}
+    outer = product(class_size, *[range(n)] * (inner - 1)) if inner else [()]
+    for tup in outer:
+        p = 0
+        for c, pows in head:
+            p = table[p][pows[tup[c]]]
+        row = table[p]
+        vec = [row[x] for x in first_pows]
+        for c, pows in tail:
+            if c >= inner:
+                vec = [table[v][x] for v, x in zip(vec, pows)]
+            else:
+                col = cols[pows[tup[c]]]
+                vec = [col[v] for v in vec]
+        weight = class_size[tup[0]] if inner else 1
+        for v in vec:
+            counts[v] += weight
+    for cls in classes:
+        if len(cls) > 1:
+            share, rest = divmod(sum(counts[x] for x in cls), len(cls))
+            assert not rest, "fiber counts are class functions"
+            for x in cls:
+                counts[x] = share
+    if arity > k:
+        scale = n ** (arity - k)
+        counts = [c * scale for c in counts]
+    return counts
 
 
 def image(g: FiniteGroup, w: Word, arity: Optional[int] = None,
@@ -170,9 +203,10 @@ def image(g: FiniteGroup, w: Word, arity: Optional[int] = None,
 
     Arity defaults to the word's rank. Returns a WordImage, or a
     (WordImage, FiberDistribution) pair when want_fibers is set.
+    `threads` is accepted for compatibility and ignored.
     """
     d = _resolve_arity(w, arity)
-    counts = _fiber_counts(g, w, d, budget, threads)
+    counts = _fiber_counts(g, w, d, budget)
     img = WordImage(g, w, d, tuple(c > 0 for c in counts))
     if want_fibers:
         return img, FiberDistribution(g, w, d, tuple(counts))
@@ -322,9 +356,9 @@ def pair_verdicts(g: FiniteGroup, w: Word, arity: Optional[int] = None,
                   budget: int = DEFAULT_BUDGET,
                   threads: int = 1) -> PairVerdicts:
     """Scan G^arity once and derive the chiral and weak verdicts against
-    inversion; `PairVerdicts.against` derives them for other gammas."""
-    img, fibers = image(g, w, arity, want_fibers=True,
-                        budget=budget, threads=threads)
+    inversion; `PairVerdicts.against` derives them for other gammas.
+    `threads` is accepted for compatibility and ignored."""
+    img, fibers = image(g, w, arity, want_fibers=True, budget=budget)
     return PairVerdicts(
         img, fibers, _chiral_witness(g, img.members),
         weak_verdict_from_counts(g, fibers.counts, g.inverses))
@@ -348,7 +382,7 @@ def is_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
                    threads: int = 1) -> ChiralityReport:
     """Decide whether G_w is closed under inversion."""
     start = time.perf_counter()
-    v = pair_verdicts(g, w, arity, budget, threads)
+    v = pair_verdicts(g, w, arity, budget)
     return chirality_report(v, start, chiral=v.chiral,
                             chiral_witness=v.chiral_witness)
 
@@ -368,12 +402,11 @@ def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
         raise ValueError("pass exactly one of gamma_word, gamma_group")
     start = time.perf_counter()
     d = _resolve_arity(w, arity)
-    img = image(g, w, d, budget=budget, threads=threads)
+    img = image(g, w, d, budget=budget)
     evaluations = g.order ** d
     if gamma_word is not None:
         tw = apply_anti(w, gamma_word)
-        other = image(g, tw, max(d, tw.support_rank),
-                      budget=budget, threads=threads).members
+        other = image(g, tw, max(d, tw.support_rank), budget=budget).members
         evaluations += g.order ** max(d, tw.support_rank)
         desc = "word-anti"
     else:
@@ -403,7 +436,7 @@ def is_weakly_chiral_pair(g: FiniteGroup, w: Word, gamma: GroupMap,
     if gamma.kind != ANTI_AUTOMORPHISM:
         raise GroupError("gamma must be an anti-automorphism")
     start = time.perf_counter()
-    v = pair_verdicts(g, w, arity, budget, threads)
+    v = pair_verdicts(g, w, arity, budget)
     witness = v.against([with_inverse(gamma)])[0].weak_witness
     return chirality_report(v, start, weakly_chiral=witness is not None,
                             weak_witness=witness, counts=v.fibers.counts)

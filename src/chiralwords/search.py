@@ -72,10 +72,10 @@ class Finding:
 
 
 def _scan_pair(spec: str, g: FiniteGroup, w: Word, auto_cap: int,
-               budget: int, threads: int) -> Finding:
+               budget: int) -> Finding:
     d = w.rank
     try:
-        v = pair_verdicts(g, w, d, budget=budget, threads=threads)
+        v = pair_verdicts(g, w, d, budget=budget)
     except BudgetExceededError as exc:
         return Finding(spec, g.order, render_word(w), d, None, None, None,
                        None, None, None, 0, skipped=str(exc))
@@ -107,6 +107,7 @@ def search_chiral(rank: int, max_len: int, max_order: int,
     Abelian groups and single-generator power words are skipped as proven
     achiral. By default only positive (chiral or weakly chiral or
     highlighted) findings are yielded; `full` yields every scanned pair.
+    `threads` is accepted for compatibility and ignored.
     """
     groups = [(spec, g) for spec, g in catalog_groups(max_order, families)
               if not is_abelian(g)]
@@ -114,7 +115,7 @@ def search_chiral(rank: int, max_len: int, max_order: int,
         if _is_power_word(w):
             continue
         for spec, g in groups:
-            finding = _scan_pair(spec, g, w, auto_cap, budget, threads)
+            finding = _scan_pair(spec, g, w, auto_cap, budget)
             if (full or finding.skipped or finding.chiral
                     or finding.weakly_chiral or finding.highlighted):
                 yield finding
@@ -122,7 +123,10 @@ def search_chiral(rank: int, max_len: int, max_order: int,
 
 def replay(record: dict, auto_cap: int = 64, budget: int = 2 ** 24,
            threads: int = 1) -> Tuple[bool, List[str]]:
-    """Recompute a finding record from scratch; return (ok, mismatches)."""
+    """Recompute a finding record from scratch; return (ok, mismatches).
+
+    `threads` is accepted for compatibility and ignored.
+    """
     try:
         spec = record["group"]
         word_text = record["word"]
@@ -134,7 +138,7 @@ def replay(record: dict, auto_cap: int = 64, budget: int = 2 ** 24,
         w = parse_word(word_text, max(arity, 1))
     except ValueError as exc:
         raise MalformedRecordError(str(exc)) from None
-    fresh = _scan_pair(spec, g, w, auto_cap, budget, threads).to_record()
+    fresh = _scan_pair(spec, g, w, auto_cap, budget).to_record()
     mismatches = []
     for key in ("order", "chiral", "weakly_chiral", "gammas_agree",
                 "chiral_witness", "weak_witness", "image_size",

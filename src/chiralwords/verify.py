@@ -60,7 +60,7 @@ class Bounds:
     seed: int = 0
     auto_cap: int = 64
     budget: int = 2 ** 24
-    threads: int = 1
+    threads: int = 1  # accepted for compatibility; the scan is serial
     families: Optional[Tuple[str, ...]] = None
 
     def to_dict(self) -> dict:
@@ -151,7 +151,7 @@ def verify_lemma(bounds: Bounds) -> VerificationReport:
     for spec, g, w in _grid(bounds):
         try:
             autos = enumerate_automorphisms(g, bounds.auto_cap)
-            img = image(g, w, budget=bounds.budget, threads=bounds.threads)
+            img = image(g, w, budget=bounds.budget)
         except (BudgetExceededError, CapExceededError) as exc:
             _skip(report, spec, w, str(exc))
             continue
@@ -162,7 +162,7 @@ def verify_lemma(bounds: Bounds) -> VerificationReport:
         for theta, tw in samples[w]:
             try:
                 img2 = image(g, tw, max(w.rank, tw.support_rank),
-                             budget=bounds.budget, threads=bounds.threads)
+                             budget=bounds.budget)
             except BudgetExceededError as exc:
                 _skip(report, spec, tw, str(exc))
                 continue
@@ -197,8 +197,7 @@ def verify_theorem1(bounds: Bounds) -> VerificationReport:
     samples: Dict[Word, List[Tuple[FreeGroupEndo, Word]]] = {}
     for spec, g, w in _grid(bounds):
         try:
-            inv_img = image(g, invert(w), budget=bounds.budget,
-                            threads=bounds.threads)
+            inv_img = image(g, invert(w), budget=bounds.budget)
         except BudgetExceededError as exc:
             _skip(report, spec, w, str(exc))
             continue
@@ -209,7 +208,7 @@ def verify_theorem1(bounds: Bounds) -> VerificationReport:
         for theta, gw in samples[w]:
             try:
                 img = image(g, gw, max(w.rank, gw.support_rank),
-                            budget=bounds.budget, threads=bounds.threads)
+                            budget=bounds.budget)
             except BudgetExceededError as exc:
                 _skip(report, spec, gw, str(exc))
                 continue
@@ -235,7 +234,7 @@ def verify_theorem2(bounds: Bounds) -> VerificationReport:
     for spec, g, w in _grid(bounds):
         try:
             antis = enumerate_anti_automorphisms(g, bounds.auto_cap)
-            img = image(g, w, budget=bounds.budget, threads=bounds.threads)
+            img = image(g, w, budget=bounds.budget)
         except (BudgetExceededError, CapExceededError) as exc:
             _skip(report, spec, w, str(exc))
             continue
@@ -262,19 +261,20 @@ def verify_remark(bounds: Bounds) -> VerificationReport:
     for spec, g, w in _grid(bounds):
         try:
             gammas = gamma_data(g, bounds.auto_cap)
-            _, fibers = image(g, w, want_fibers=True,
-                              budget=bounds.budget, threads=bounds.threads)
+            _, fibers = image(g, w, want_fibers=True, budget=bounds.budget)
         except (BudgetExceededError, CapExceededError) as exc:
             _skip(report, spec, w, str(exc))
             continue
-        # One direct evaluation pass, shared by every gamma's twisted count.
-        values = [evaluate(g, w, tup)
-                  for tup in iter_product(range(g.order), repeat=w.rank)]
+        # One direct evaluation pass, counted per value and shared by every
+        # gamma's twisted count.
+        direct = [0] * g.order
+        for tup in iter_product(range(g.order), repeat=w.rank):
+            direct[evaluate(g, w, tup)] += 1
         verdicts = []
         for zi, (gamma, gamma_inv) in enumerate(gammas):
             twisted_direct = [0] * g.order
-            for v in values:
-                twisted_direct[gamma.images[v]] += 1
+            for v, c in enumerate(direct):
+                twisted_direct[gamma.images[v]] += c
             predicted = [fibers.counts[gamma_inv[x]] for x in g.elements()]
             report.cases += 1
             if twisted_direct != predicted:

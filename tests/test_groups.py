@@ -313,3 +313,83 @@ def test_parse_group_spec_file(tmp_path):
     perm_path = tmp_path / "s3.json"
     perm_path.write_text('{"perm-gens": [[1,0,2],[0,2,1]]}')
     assert parse_group_spec(f"@{perm_path}").order == 6
+
+
+def test_built_in_specs_are_memoized_and_files_reread(tmp_path):
+    assert parse_group_spec("S4") is parse_group_spec(" S4 ")
+    path = tmp_path / "g.json"
+    path.write_text('{"order": 2, "table": [[0,1],[1,0]]}')
+    first = parse_group_spec(f"@{path}")
+    path.write_text('{"order": 2, "table": [[0,1],[1,1]]}')
+    with pytest.raises(GroupError, match="not a permutation"):
+        parse_group_spec(f"@{path}")
+    path.write_text('{"order": 3, "table": [[0,1,2],[1,2,0],[2,0,1]]}')
+    assert parse_group_spec(f"@{path}").order == 3 != first.order
+
+
+def full_group_check(table) -> bool:
+    """Reference: a Latin square with a two-sided identity and inverses,
+    associative over all n^3 triples."""
+    n = len(table)
+    elements = list(range(n))
+    if any(sorted(row) != elements for row in table):
+        return False
+    if any(sorted(table[a][b] for a in elements) != elements
+           for b in elements):
+        return False
+    identities = [e for e in elements
+                  if all(table[e][x] == x == table[x][e] for x in elements)]
+    if not identities:
+        return False
+    e = identities[0]
+    if not all(any(table[a][b] == e == table[b][a] for b in elements)
+               for a in elements):
+        return False
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in elements for b in elements for c in elements)
+
+
+def corrupted_tables(spec, rng, count):
+    """Seeded variants of spec's table: relabellings (still groups), single
+    changed entries, and intercalate swaps, which keep the table a Latin
+    square with its identity but usually break associativity."""
+    g = build_family(spec)
+    n = g.order
+    for _ in range(count):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[perm[a]][perm[b]] = perm[g.table[a][b]]
+        kind = rng.choice(["relabel", "entry", "intercalate"])
+        if kind == "entry":
+            a, b = rng.randrange(n), rng.randrange(n)
+            table[a][b] = rng.choice([v for v in range(n) if v != table[a][b]])
+        elif kind == "intercalate":
+            e = perm[0]
+            quads = [(a, b, c, d)
+                     for a, b in itertools.combinations(range(n), 2)
+                     for c, d in itertools.combinations(range(n), 2)
+                     if e not in (a, b, c, d)
+                     and table[a][c] == table[b][d]
+                     and table[a][d] == table[b][c]]
+            a, b, c, d = rng.choice(quads)
+            table[a][c], table[a][d] = table[a][d], table[a][c]
+            table[b][c], table[b][d] = table[b][d], table[b][c]
+        yield table
+
+
+@pytest.mark.parametrize("spec", ["C8", "S3", "Q8"])
+def test_light_associativity_test_matches_full_check(spec):
+    rng = random.Random(f"light:{spec}")
+    outcomes = set()
+    for table in corrupted_tables(spec, rng, 60):
+        report = validate_group(table)
+        assert report.ok == full_group_check(table)
+        only_associativity = bool(report.violations) and all(
+            v.startswith("associativity fails at") for v in report.violations)
+        outcomes.add((report.ok, only_associativity))
+    # Groups, tables failing the basic checks, and Latin squares with an
+    # identity and inverses that only associativity rejects all occur.
+    assert outcomes == {(True, False), (False, False), (False, True)}
