@@ -7,6 +7,7 @@ error, 3 evaluation budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -77,14 +78,11 @@ def _emit(args, structured: dict, human_lines: List[str]) -> None:
 
 def cmd_group(args) -> int:
     if args.action == "list":
-        lines = []
-        for spec, g in catalog_groups(args.max_order, args.families):
-            lines.append(f"{spec:14s} order {g.order}")
+        catalog = catalog_groups(args.max_order, args.families)
         _emit(args, {
             "schema_version": 1, "kind": "catalog",
-            "groups": [{"spec": s, "order": g.order}
-                       for s, g in catalog_groups(args.max_order, args.families)],
-        }, lines)
+            "groups": [{"spec": s, "order": g.order} for s, g in catalog],
+        }, [f"{s:14s} order {g.order}" for s, g in catalog])
         return EXIT_OK
     g = parse_group_spec(args.spec)
     if args.action == "show":
@@ -360,9 +358,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused after it.
+
+    Reuse is safe because parse_args returns a fresh Namespace and every
+    default is immutable.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

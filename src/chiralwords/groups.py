@@ -9,15 +9,22 @@ all live here.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 DEFAULT_ORDER_CAP = 512
 DEFAULT_AUTO_CAP = 64
+# A group file may hold 16 bytes per entry of a table at the order cap
+# (4 MiB); larger files are refused before they are read.
+MAX_GROUP_FILE_BYTES = 16 * DEFAULT_ORDER_CAP ** 2
+# Distinct group-file contents kept parsed and validated per process.
+FILE_CACHE_SIZE = 16
 
 AUTOMORPHISM = "automorphism"
 ANTI_AUTOMORPHISM = "anti-automorphism"
@@ -164,9 +171,16 @@ def find_identity(table: Sequence[Sequence[int]]) -> Optional[int]:
 
 # --- group families ------------------------------------------------------
 
+def _check_order_cap(what: str, n: int) -> None:
+    if n > DEFAULT_ORDER_CAP:
+        raise CapExceededError(
+            f"{what}: order {n} exceeds cap {DEFAULT_ORDER_CAP}")
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupSpecError(f"C{n}: order must be >= 1")
+    _check_order_cap(f"C{n}", n)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return _build_group(f"C{n}", table, [str(i) for i in range(n)])
 
@@ -179,6 +193,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     """
     if n < 4 or n % 2:
         raise GroupSpecError(f"D{n}: order must be even and >= 4")
+    _check_order_cap(f"D{n}", n)
     m = n // 2
 
     def mul(a: int, b: int) -> int:
@@ -318,13 +333,18 @@ def from_cayley_document(doc: dict) -> FiniteGroup:
 
     The document holds `order`, `table`, and optionally `name` and `labels`.
     If the table's identity is not at index 0, elements are relabeled so
-    that it is.
+    that it is. The order is checked against the cap before the table is.
     """
     try:
         order = int(doc["order"])
         table = doc["table"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GroupError(f"malformed Cayley document: {exc}") from None
+    _check_order_cap("Cayley document", order)
+    if not (isinstance(table, list)
+            and all(isinstance(row, list) for row in table)):
+        raise GroupError("malformed Cayley document: table is not a list "
+                         "of rows")
     if len(table) != order:
         raise GroupError(f"table has {len(table)} rows, order says {order}")
     report = validate_group(table)
@@ -381,23 +401,66 @@ def from_permutation_generators(perms: Sequence[Sequence[int]],
     return _build_group(name, table, [_cycle_label(p) for p in elements])
 
 
+# (sha256 of the file's bytes, path stem) -> group, least recently used
+# first. The stem is part of the key because it names `perm-gens` groups.
+_file_groups: Dict[Tuple[bytes, str], FiniteGroup] = {}
+
+
 def load_group_file(path: str | Path) -> FiniteGroup:
-    """Load a group from a JSON document: Cayley table or `perm-gens`."""
+    """Load a group from a JSON document: Cayley table or `perm-gens`.
+
+    The file is read on every call, so edits are seen, but each distinct
+    content is parsed and validated once per process: the last
+    FILE_CACHE_SIZE groups are kept by the sha256 of the file's bytes.
+    """
+    path = Path(path)
+    data = _read_group_file(path)
+    key = (hashlib.sha256(data).digest(), path.stem)
+    group = _file_groups.pop(key, None)
+    if group is None:
+        group = _group_from_file_bytes(data, path)
+        if len(_file_groups) >= FILE_CACHE_SIZE:
+            del _file_groups[next(iter(_file_groups))]
+    _file_groups[key] = group
+    return group
+
+
+def _read_group_file(path: Path) -> bytes:
+    """The file's bytes; a file larger than MAX_GROUP_FILE_BYTES is refused
+    before it is read."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        with path.open("rb") as fh:
+            if os.fstat(fh.fileno()).st_size <= MAX_GROUP_FILE_BYTES:
+                data = fh.read(MAX_GROUP_FILE_BYTES + 1)
+                if len(data) <= MAX_GROUP_FILE_BYTES:
+                    return data
+    except OSError as exc:
         raise GroupError(f"cannot read group file {path}: {exc}") from None
+    raise CapExceededError(
+        f"group file {path} is larger than {MAX_GROUP_FILE_BYTES} bytes "
+        f"(16 bytes per table entry at order cap {DEFAULT_ORDER_CAP})")
+
+
+def _group_from_file_bytes(data: bytes, path: Path) -> FiniteGroup:
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise GroupError(f"cannot read group file {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise GroupError(f"cannot read group file {path}: "
+                         "the document is not a JSON object")
     if "perm-gens" in doc:
         return from_permutation_generators(
-            doc["perm-gens"], name=str(doc.get("name", Path(path).stem)))
+            doc["perm-gens"], name=str(doc.get("name", path.stem)))
     return from_cayley_document(doc)
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
     """CLI group spec: family token, `x`-separated product, or @<path>.
 
-    Built-in specs are memoized; a file is re-read and revalidated on every
-    call.
+    Built-in specs are memoized. A file is re-read on every call, and each
+    distinct content is validated once per process (`load_group_file`).
+    Orders above DEFAULT_ORDER_CAP are refused before a table is built.
     """
     spec = spec.strip()
     if spec.startswith("@"):

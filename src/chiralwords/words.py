@@ -14,6 +14,12 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 Syllable = Tuple[int, int]  # (generator index 1..rank, nonzero exponent)
 
+# Most letters (or syllables) that `Word.letters`, `substitute` and
+# `canonical_form` expand a word into; beyond it they raise ValueError
+# before expanding. Image scans raise syllables to powers by squaring and
+# have no such bound.
+MAX_EXPANSION = 1 << 20
+
 
 class WordSyntaxError(ValueError):
     """Word text does not conform to the grammar."""
@@ -58,11 +64,13 @@ class Word:
         return max((g for g, _ in self.syllables), default=0)
 
     def letters(self) -> Iterator[Tuple[int, int]]:
-        """Yield the word letter by letter as (generator, +1 or -1)."""
-        for gen, exp in self.syllables:
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield (gen, sign)
+        """The word letter by letter as (generator, +1 or -1).
+
+        Raises ValueError if the word has more than MAX_EXPANSION letters.
+        """
+        _check_expansion(self, self.length, "letters")
+        return ((gen, 1 if exp > 0 else -1)
+                for gen, exp in self.syllables for _ in range(abs(exp)))
 
     def __mul__(self, other: "Word") -> "Word":
         return concat(self, other)
@@ -72,6 +80,12 @@ class Word:
 
     def __str__(self) -> str:
         return render_word(self)
+
+
+def _check_expansion(w: Word, size: int, unit: str) -> None:
+    if size > MAX_EXPANSION:
+        raise ValueError(f"a word of length {w.length} expands to {size} "
+                         f"{unit}, more than the bound of {MAX_EXPANSION}")
 
 
 def identity_word(rank: int) -> Word:
@@ -194,9 +208,14 @@ def identity_endo(rank: int) -> FreeGroupEndo:
 
 
 def substitute(w: Word, e: FreeGroupEndo) -> Word:
-    """Apply an endomorphism: replace each x_i by its image, then reduce."""
+    """Apply an endomorphism: replace each x_i by its image, then reduce.
+
+    Raises ValueError if that gives more than MAX_EXPANSION syllables.
+    """
     if w.rank != e.rank:
         raise ValueError(f"rank mismatch: word {w.rank} vs endo {e.rank}")
+    _check_expansion(w, sum(abs(exp) * len(e.images[gen - 1].syllables)
+                            for gen, exp in w.syllables), "syllables")
     out: list[Syllable] = []
     for gen, exp in w.syllables:
         img = e.images[gen - 1]
@@ -344,7 +363,8 @@ def canonical_form(w: Word) -> Word:
     The orbit group is the finite subgroup of Aut(F_d) that permutes
     generators and inverts them, together with inversion of the whole word.
     Orbit-mates have identical chirality behavior, so this is a sound dedup
-    key for searches.
+    key for searches. Raises ValueError, as `Word.letters` does, for a word
+    longer than MAX_EXPANSION letters.
     """
     d = w.rank
     letters = [_letter_index(g, s) for g, s in w.letters()]

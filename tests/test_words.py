@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chiralwords.words import (
+    MAX_EXPANSION,
     FreeAntiAuto,
     Word,
     WordSyntaxError,
@@ -298,3 +299,22 @@ def test_canonical_form_orbit_oracle(rng):
                 v = signed_perm_image(w, perm, signs)
                 assert canonical_form(v) == canon
                 assert canonical_form(invert(v)) == canon
+
+
+# --- expansion bound --------------------------------------------------------
+
+def test_huge_exponents_raise_before_expanding():
+    w = parse_word(f"x1^{MAX_EXPANSION} x2", 2)
+    tv = [g for g in nielsen_generators(2)
+          if g.images[0].syllables == ((1, 1), (2, 1))][0]
+    for expand in (w.letters, lambda: canonical_form(w),
+                   lambda: substitute(w, identity_endo(2))):
+        with pytest.raises(ValueError, match=f"length {MAX_EXPANSION + 1}"):
+            expand()
+    at_bound = parse_word(f"x1^-{MAX_EXPANSION}", 1)
+    assert sum(1 for _ in at_bound.letters()) == MAX_EXPANSION
+    assert substitute(at_bound, identity_endo(1)) == at_bound
+    # x1 -> x1 x2 doubles the syllables, so half the bound plus one fails.
+    half = parse_word(f"x1^{MAX_EXPANSION // 2 + 1}", 2)
+    with pytest.raises(ValueError, match="more than the bound"):
+        substitute(half, tv)
