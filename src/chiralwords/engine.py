@@ -3,22 +3,28 @@
 The optimized image computation scans one first coordinate per conjugacy
 class, weighted by the class size, since fiber counts are class functions;
 it evaluates blocks of trailing coordinates at once and skips coordinates
-the word does not read. `naive_image` is the independent reference path.
+the word does not read. The tables a scan reads are built once per group
+(`scan_tables`). `naive_image` is the independent reference path.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import compress, product
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .groups import (
     ANTI_AUTOMORPHISM,
+    GROUP_CACHE_SIZE,
     FiniteGroup,
+    Gamma,
     GroupError,
     GroupMap,
     conjugacy_classes,
+    element_orders,
     with_inverse,
 )
 from .words import FreeAntiAuto, Word, apply_anti, render_word
@@ -101,20 +107,51 @@ def _check_budget(g: FiniteGroup, arity: int, budget: int) -> int:
     return total
 
 
-def _power_table(g: FiniteGroup, exp: int) -> List[int]:
-    """a^exp for every element a, by square-and-multiply over all of G at
-    once."""
+class ScanTables:
+    """The per-group data every scan of g reads, built once per group.
+
+    `cols[c][v]` is v * c; `classes` are the conjugacy classes and
+    `class_size` maps each representative to its class's size. Power
+    tables are memoized by the exponent reduced mod exp(G), the lcm of the
+    element orders, since a^exp(G) = e for every a; so at most exp(G) <=
+    |G| of them are ever held. Every scan of g shares these, so the tables
+    are tuples.
+    """
+
+    def __init__(self, g: FiniteGroup):
+        self.group = g
+        self.cols = tuple(zip(*g.table))
+        self.classes = conjugacy_classes(g)
+        self.class_size = {cls[0]: len(cls) for cls in self.classes}
+        self.exponent = math.lcm(*element_orders(g))
+        self.powers: Dict[int, Tuple[int, ...]] = {}
+
+    def power_table(self, exp: int) -> Tuple[int, ...]:
+        """a^exp for every element a."""
+        k = exp % self.exponent
+        pows = self.powers.get(k)
+        if pows is None:
+            pows = self.powers[k] = _power_table(self.group, k)
+        return pows
+
+
+def _power_table(g: FiniteGroup, k: int) -> Tuple[int, ...]:
+    """a^k (k >= 0) for every element a, by square-and-multiply over all of
+    G at once."""
     table = g.table
-    base = list(g.inverses) if exp < 0 else list(g.elements())
-    result = [0] * g.order
-    k = abs(exp)
+    result, base = [0] * g.order, list(g.elements())
     while k:
         if k & 1:
             result = [table[r][b] for r, b in zip(result, base)]
         k >>= 1
         if k:
             base = [table[b][b] for b in base]
-    return result
+    return tuple(result)
+
+
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
+def scan_tables(g: FiniteGroup) -> ScanTables:
+    return ScanTables(g)
 
 
 # The most tuples of the trailing coordinates that one scan step covers.
@@ -154,20 +191,21 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
         inner -= 1
     block = list(product(range(n), repeat=k - inner))
     slot = {gen: i for i, gen in enumerate(read)}
-    # Per-syllable powers, built once per call: indexed by element outside
-    # the block and by block tuple inside it.
+    tables = scan_tables(g)
+    # Per-syllable powers: indexed by element outside the block and by
+    # block tuple inside it.
     sylls = []
     for gen, exp in w.syllables:
         c = slot[gen]
-        pows = _power_table(g, exp)
+        pows = tables.power_table(exp)
         if c >= inner:
             pows = [pows[t[c - inner]] for t in block]
         sylls.append((c, pows))
     s = next(j for j, (c, _) in enumerate(sylls) if c >= inner)
     head, first_pows, tail = sylls[:s], sylls[s][1], sylls[s + 1:]
-    cols = list(zip(*table))  # cols[c][v] = v * c
-    classes = conjugacy_classes(g) if inner else ()
-    class_size = {cls[0]: len(cls) for cls in classes}
+    cols = tables.cols
+    classes = tables.classes if inner else ()
+    class_size = tables.class_size
     outer = product(class_size, *[range(n)] * (inner - 1)) if inner else [()]
     for tup in outer:
         p = 0
@@ -303,10 +341,6 @@ def weak_verdict_from_counts(g: FiniteGroup, counts: Sequence[int],
     return None
 
 
-# An anti-automorphism with the image array of its inverse (groups.gamma_data).
-Gamma = Tuple[GroupMap, Sequence[int]]
-
-
 class GammaVerdict(NamedTuple):
     """The verdicts of one pair under one anti-automorphism gamma."""
 
@@ -332,18 +366,37 @@ class PairVerdicts(NamedTuple):
         return self.weak_witness is not None
 
     def against(self, gammas: Sequence[Gamma]) -> List[GammaVerdict]:
-        """The per-gamma verdicts, from the image and fibers already held."""
+        """The per-gamma verdicts, from the image and fibers already held.
+
+        gamma(G_w) and the twisted fiber counts are both pulled back through
+        gamma^-1 (`Gamma.pull`); the witness search runs only for a gamma
+        whose twisted counts differ.
+        """
         g, members = self.image.group, self.image.members
+        counts = self.fibers.counts
         inverted = invert_set(g, members)
         verdicts = []
-        for gamma, gamma_inverse in gammas:
-            mapped = map_set(gamma, members)
+        for gamma in gammas:
+            mapped = gamma.pull(members)
             verdicts.append(GammaVerdict(
                 chiral=mapped != members,
-                weak_witness=weak_verdict_from_counts(
-                    g, self.fibers.counts, gamma_inverse),
+                weak_witness=None if gamma.pull(counts) == counts
+                else weak_verdict_from_counts(g, counts, gamma[1]),
                 maps_to_inverse=mapped == inverted))
         return verdicts
+
+    def gammas_agree(self, gammas: Sequence[Gamma]) -> bool:
+        """all(self.agrees_with(r) for r in self.against(gammas)), from the
+        same pull-backs; stops at the first gamma that disagrees."""
+        members, counts = self.image.members, self.fibers.counts
+        inverted = invert_set(self.image.group, members)
+        chiral, weakly_chiral = self.chiral, self.weakly_chiral
+        for gamma in gammas:
+            mapped = gamma.pull(members)
+            if (mapped != inverted or (mapped != members) != chiral
+                    or (gamma.pull(counts) != counts) != weakly_chiral):
+                return False
+        return True
 
     def agrees_with(self, verdict: GammaVerdict) -> bool:
         """Whether gamma reproduces both inversion verdicts and Theorem 2."""

@@ -12,11 +12,12 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 DEFAULT_ORDER_CAP = 512
 DEFAULT_AUTO_CAP = 64
@@ -25,6 +26,10 @@ DEFAULT_AUTO_CAP = 64
 MAX_GROUP_FILE_BYTES = 16 * DEFAULT_ORDER_CAP ** 2
 # Distinct group-file contents kept parsed and validated per process.
 FILE_CACHE_SIZE = 16
+# Groups each per-group cache (built-in specs, element orders, classes,
+# automorphisms, gamma data, scan tables) keeps; the catalog at order <= 32
+# has 55 groups, so `verify` and `search` never evict.
+GROUP_CACHE_SIZE = 64
 
 AUTOMORPHISM = "automorphism"
 ANTI_AUTOMORPHISM = "anti-automorphism"
@@ -51,6 +56,16 @@ class FiniteGroup:
     table: Tuple[Tuple[int, ...], ...]
     inverses: Tuple[int, ...]
     labels: Tuple[str, ...]
+    # Hashing the table costs O(|G|^2), and every per-group cache lookup
+    # hashes the group, so the hash is computed once, at construction.
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.name, self.order, self.table, self.inverses, self.labels)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -129,7 +144,10 @@ def validate_group(table: Sequence[Sequence[int]],
             add(f"row {a} has length {len(row)}, expected {n}")
             return report
         for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not _is_int(v):
+                add(f"entry table[{a}][{b}] = {v!r} is not an integer")
+                return report
+            if not 0 <= v < n:
                 add(f"entry table[{a}][{b}] = {v!r} out of range 0..{n - 1}")
                 return report
     for a in range(n):
@@ -159,6 +177,11 @@ def validate_group(table: Sequence[Sequence[int]],
                     if add(f"associativity fails at ({a},{b},{c})"):
                         return report
     return report
+
+
+def _is_int(v: Any) -> bool:
+    """An int that is not a bool (JSON `true` parses to one)."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def find_identity(table: Sequence[Sequence[int]]) -> Optional[int]:
@@ -336,10 +359,13 @@ def from_cayley_document(doc: dict) -> FiniteGroup:
     that it is. The order is checked against the cap before the table is.
     """
     try:
-        order = int(doc["order"])
+        order = doc["order"]
         table = doc["table"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise GroupError(f"malformed Cayley document: {exc}") from None
+    if not _is_int(order):
+        raise GroupError("malformed Cayley document: order is not an "
+                         "integer")
     _check_order_cap("Cayley document", order)
     if not (isinstance(table, list)
             and all(isinstance(row, list) for row in table)):
@@ -354,6 +380,10 @@ def from_cayley_document(doc: dict) -> FiniteGroup:
     labels = doc.get("labels")
     if labels is None:
         labels = [f"g{i}" for i in range(order)]
+    if not (isinstance(labels, list)
+            and all(isinstance(label, str) for label in labels)):
+        raise GroupError("malformed Cayley document: labels is not a list "
+                         "of strings")
     if len(labels) != order:
         raise GroupError("labels length does not match order")
     identity = find_identity(table)
@@ -449,9 +479,17 @@ def _group_from_file_bytes(data: bytes, path: Path) -> FiniteGroup:
     if not isinstance(doc, dict):
         raise GroupError(f"cannot read group file {path}: "
                          "the document is not a JSON object")
+    if not isinstance(doc.get("name", ""), str):
+        raise GroupError(f"malformed group file {path}: name is not a "
+                         "string")
     if "perm-gens" in doc:
+        gens = doc["perm-gens"]
+        if not (isinstance(gens, list) and all(
+                isinstance(p, list) and all(map(_is_int, p)) for p in gens)):
+            raise GroupError(f"malformed group file {path}: perm-gens is "
+                             "not a list of integer lists")
         return from_permutation_generators(
-            doc["perm-gens"], name=str(doc.get("name", path.stem)))
+            gens, name=str(doc.get("name", path.stem)))
     return from_cayley_document(doc)
 
 
@@ -468,7 +506,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     return _built_in_group(spec)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _built_in_group(spec: str) -> FiniteGroup:
     parts = spec.split("x")
     group = build_family(parts[0])
@@ -479,25 +517,25 @@ def _built_in_group(spec: str) -> FiniteGroup:
 
 # --- element utilities ----------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def element_orders(g: FiniteGroup) -> Tuple[int, ...]:
     orders = []
-    for a in g.elements():
-        x, k = a, 1
+    for row in g.table:
+        x, k = row[0], 1  # row[0] is the element itself; powers commute
         while x != 0:
-            x = g.mul(x, a)
+            x = row[x]
             k += 1
         orders.append(k)
     return tuple(orders)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def is_abelian(g: FiniteGroup) -> bool:
     return all(g.table[a][b] == g.table[b][a]
                for a in g.elements() for b in g.elements())
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
     """The conjugacy classes of g, each sorted, ordered by least element;
     so each class's first element is its representative. O(|G|^2)."""
@@ -602,9 +640,31 @@ def auto_from_anti(gamma: GroupMap) -> GroupMap:
     return GroupMap._derived(g, images, AUTOMORPHISM)
 
 
-def with_inverse(gamma: GroupMap) -> Tuple[GroupMap, Tuple[int, ...]]:
+class Gamma(tuple):
+    """A map paired with the image array of its inverse; it unpacks as
+    (gamma, inverse).
+
+    `pull(seq)` is the tuple of seq[gamma^-1(x)] for every element x,
+    gathered in C by one `operator.itemgetter` built here. Pulled through
+    gamma^-1, a membership set G_w becomes gamma(G_w) and the fiber counts
+    of w become those of the twisted map w_gamma, so every per-gamma
+    verdict is a tuple comparison.
+    """
+
+    pull: Callable[[Sequence[Any]], Tuple[Any, ...]]
+
+    def __new__(cls, gamma: GroupMap, inverse: Tuple[int, ...]) -> "Gamma":
+        self = super().__new__(cls, (gamma, inverse))
+        if len(inverse) > 1:
+            self.pull = operator.itemgetter(*inverse)
+        else:  # itemgetter with one index returns a scalar, not a tuple
+            self.pull = lambda seq: (seq[0],)
+        return self
+
+
+def with_inverse(gamma: GroupMap) -> Gamma:
     """A map paired with its inverse image array, as verdicts consume it."""
-    return gamma, gamma.inverse().images
+    return Gamma(gamma, gamma.inverse().images)
 
 
 def _greedy_generators(table: Sequence[Sequence[int]],
@@ -697,7 +757,7 @@ def _image_search(g: FiniteGroup, h: FiniteGroup, first_only: bool) -> List[Tupl
     return results
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def enumerate_automorphisms(g: FiniteGroup,
                             cap: int = DEFAULT_AUTO_CAP) -> Tuple[GroupMap, ...]:
     """All automorphisms of g, in deterministic (image-array) order."""
@@ -708,18 +768,19 @@ def enumerate_automorphisms(g: FiniteGroup,
     return tuple(GroupMap(g, arr, AUTOMORPHISM) for arr in arrays)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def enumerate_anti_automorphisms(g: FiniteGroup,
                                  cap: int = DEFAULT_AUTO_CAP) -> Tuple[GroupMap, ...]:
     """All anti-automorphisms, via the bijection with automorphisms."""
     return tuple(anti_from_auto(z) for z in enumerate_automorphisms(g, cap))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def gamma_data(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP
-               ) -> Tuple[Tuple[GroupMap, Tuple[int, ...]], ...]:
+               ) -> Tuple[Gamma, ...]:
     """Each anti-automorphism of g, in enumeration order, with its inverse
-    image array: the per-group data every gamma verdict reads."""
+    image array and pull-back: the per-group data every gamma verdict
+    reads."""
     return tuple(with_inverse(gamma)
                  for gamma in enumerate_anti_automorphisms(g, cap))
 

@@ -85,7 +85,7 @@ def _scan_pair(spec: str, g: FiniteGroup, w: Word, auto_cap: int,
     except CapExceededError:  # AA(G) not enumerated: agreement unknown
         gammas_agree = None
     else:
-        gammas_agree = all(v.agrees_with(r) for r in v.against(gammas))
+        gammas_agree = v.gammas_agree(gammas)
     return Finding(
         group_spec=spec, group_order=g.order, word_text=render_word(w),
         arity=d, chiral=v.chiral, weakly_chiral=v.weakly_chiral,

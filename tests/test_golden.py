@@ -40,3 +40,21 @@ def test_s4_report_bytes(capsys, command):
     assert code == 0
     out = re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": 0.0', out)
     assert out == (GOLDEN / f"s4-{command}.json").read_text()
+
+
+# All 120 anti-automorphisms of A5, on a word with the whole group as its
+# image and on one whose image is a proper subset (16 elements).
+A5_WORDS = {"mixed": "x1^2 x2^3 x1 x2^-1", "powers": "x1^6 x2^15 x1^-6"}
+
+
+@pytest.mark.parametrize("name", sorted(A5_WORDS))
+@pytest.mark.parametrize("command", ["chiral", "weak-chiral"])
+def test_a5_per_gamma_report_bytes(capsys, command, name):
+    code = main([command, "--group", "A5", "--word", A5_WORDS[name],
+                 "--format", "structured"])
+    out = capsys.readouterr().out
+    assert code == 0
+    out = re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": 0.0', out)
+    expected = (GOLDEN / f"a5-{name}-{command}.json").read_text()
+    assert out == expected
+    assert len(json.loads(expected)["gamma_results"]) == 120

@@ -1,8 +1,10 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from chiralwords.cli import main
 from chiralwords.groups import (
     ANTI_AUTOMORPHISM,
     AUTOMORPHISM,
@@ -393,3 +395,23 @@ def test_light_associativity_test_matches_full_check(spec):
     # Groups, tables failing the basic checks, and Latin squares with an
     # identity and inverses that only associativity rejects all occur.
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"perm-gens": 5}, "perm-gens"),
+    ({"perm-gens": [[1, "a"]]}, "perm-gens"),
+    ({"order": 2, "table": [[0, 1], [1, 0]], "labels": 5}, "labels"),
+    ({"order": 2, "table": [[0, True], [1, 0]]}, "table"),
+    ({"order": True, "table": [[0]]}, "order"),
+    ({"order": "2", "table": [[0, 1], [1, 0]]}, "order"),
+    ({"order": 1, "table": [[0]], "name": {"a": 1}}, "name"),
+    ({"perm-gens": [[1, 0]], "name": 7}, "name"),
+])
+def test_group_file_fields_of_the_wrong_type_exit_2(capsys, tmp_path, doc,
+                                                    field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["group", "show", f"@{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
