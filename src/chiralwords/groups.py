@@ -57,14 +57,15 @@ class FiniteGroup:
     inverses: Tuple[int, ...]
     labels: Tuple[str, ...]
     # Hashing the table costs O(|G|^2), and every per-group cache lookup
-    # hashes the group, so the hash is computed once, at construction.
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(
-            (self.name, self.order, self.table, self.inverses, self.labels)))
+    # hashes the group, so the hash is computed on the first lookup and kept.
+    _hash: Optional[int] = field(default=None, init=False, compare=False,
+                                 repr=False)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((
+                self.name, self.order, self.table, self.inverses,
+                self.labels)))
         return self._hash
 
     def mul(self, a: int, b: int) -> int:
@@ -520,10 +521,10 @@ def _built_in_group(spec: str) -> FiniteGroup:
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def element_orders(g: FiniteGroup) -> Tuple[int, ...]:
     orders = []
-    for row in g.table:
-        x, k = row[0], 1  # row[0] is the element itself; powers commute
+    for a in g.elements():
+        x, k = a, 1
         while x != 0:
-            x = row[x]
+            x = g.mul(x, a)
             k += 1
         orders.append(k)
     return tuple(orders)

@@ -132,7 +132,7 @@ def test_a_group_hashes_its_table_once():
 
     h = groups.FiniteGroup(g.name, g.order, CountingTable(g.table),
                            g.inverses, g.labels)
-    assert len(calls) == 1
+    assert calls == []  # building a group does not hash it
     for _ in range(5):
         hash(h)
         conjugacy_classes(h)
