@@ -1,19 +1,22 @@
-"""Exhaustive/sampled verification suites for the chirality equivalences.
+"""Verification suites for the chirality equivalences.
 
-Each suite sweeps a small-group catalog against canonical reduced words and
-asserts an identity that holds for every group: image invariance under free
-and group automorphisms, the agreement of chirality with gamma-chirality in
-both flavors, and the gamma-independence of weak chirality. Any failure
-localizes an implementation bug and carries full reproduction data.
+Each suite checks one identity on every (group, word) pair of the group
+catalog and the canonical reduced words: image invariance under free and
+group automorphisms, chirality equals gamma-chirality in both flavors, and
+weak chirality does not depend on gamma. One driver makes one pass over the
+catalog per suite and skips a pair exactly when |G|^rank exceeds the budget
+or Aut(G) exceeds the automorphism cap. Any failure localizes an
+implementation bug and carries full reproduction data.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import product as iter_product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .catalog import catalog_groups
 from .engine import (
@@ -64,18 +67,10 @@ class Bounds:
     families: Optional[Tuple[str, ...]] = None
 
     def to_dict(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "max_word_len": self.max_word_len,
-            "rank": self.rank,
-            "theta_samples": self.theta_samples,
-            "gamma_samples": self.gamma_samples,
-            "theta_length": self.theta_length,
-            "seed": self.seed,
-            "auto_cap": self.auto_cap,
-            "budget": self.budget,
-            "families": list(self.families) if self.families else None,
-        }
+        d = asdict(self)
+        del d["threads"]
+        d["families"] = list(self.families) if self.families else None
+        return d
 
 
 @dataclass
@@ -121,56 +116,40 @@ def canonical_words(rank: int, max_len: int) -> List[Word]:
             if canonical_form(w) == w]
 
 
-def _grid(bounds: Bounds) -> Iterable[Tuple[str, FiniteGroup, Word]]:
-    words = canonical_words(bounds.rank, bounds.max_word_len)
-    for spec, g in catalog_groups(bounds.max_order, bounds.families):
-        for w in words:
-            yield spec, g, w
-
-
 def _sampled_autos(bounds: Bounds, label: str, w: Word,
                    count: int) -> List[FreeGroupEndo]:
-    """The seeded random automorphisms a suite applies to w."""
+    """The seeded random automorphisms a suite applies to w. They do not
+    depend on the group, so a suite draws them once per word."""
     return [random_automorphism(
         bounds.rank, bounds.theta_length,
         derived_seed(bounds.seed, label, render_word(w), i))
         for i in range(count)]
 
 
-def _skip(report: VerificationReport, spec: str, w: Word, reason: str) -> None:
-    report.skipped.append(
-        {"group": spec, "word": render_word(w), "reason": reason})
+# Each suite builds the check that the driver applies to every (group, word)
+# pair; `where` names the pair in records. A check makes every call that can
+# raise before it counts a case. Sampled words keep w.rank, so their scans at
+# arity w.rank pass the budget test that the check's first scan passed.
+Check = Callable[[VerificationReport, dict, FiniteGroup, Word], None]
 
 
-def verify_lemma(bounds: Bounds) -> VerificationReport:
+def _lemma1(bounds: Bounds, words: Sequence[Word]) -> Check:
     """G_w = G_{theta(w)} for sampled theta in A(F_d), and zeta(G_w) = G_w
     for every zeta in A(G)."""
-    report = VerificationReport("lemma1", bounds)
-    start = time.perf_counter()
-    samples: Dict[Word, List[Tuple[FreeGroupEndo, Word]]] = {}
-    for spec, g, w in _grid(bounds):
-        try:
-            autos = enumerate_automorphisms(g, bounds.auto_cap)
-            img = image(g, w, budget=bounds.budget)
-        except (BudgetExceededError, CapExceededError) as exc:
-            _skip(report, spec, w, str(exc))
-            continue
-        if w not in samples:  # theta and theta(w) do not depend on the group
-            samples[w] = [(theta, substitute(w, theta)) for theta in
-                          _sampled_autos(bounds, "lemma-theta", w,
-                                         bounds.theta_samples)]
+    samples = {w: [(theta, substitute(w, theta)) for theta in
+                   _sampled_autos(bounds, "lemma-theta", w,
+                                  bounds.theta_samples)]
+               for w in words}
+
+    def check(report, where, g, w):
+        autos = enumerate_automorphisms(g, bounds.auto_cap)
+        img = image(g, w, budget=bounds.budget)
         for theta, tw in samples[w]:
-            try:
-                img2 = image(g, tw, max(w.rank, tw.support_rank),
-                             budget=bounds.budget)
-            except BudgetExceededError as exc:
-                _skip(report, spec, tw, str(exc))
-                continue
+            img2 = image(g, tw, w.rank, budget=bounds.budget)
             report.cases += 1
             if img2.members != img.members:
                 report.record_failure({
-                    "check": "image-invariance-under-theta",
-                    "group": spec, "word": render_word(w),
+                    "check": "image-invariance-under-theta", **where,
                     "theta_images": [render_word(t) for t in theta.images],
                     "theta_word": render_word(tw),
                     "members_w": list(img.member_indices),
@@ -180,91 +159,62 @@ def verify_lemma(bounds: Bounds) -> VerificationReport:
             report.cases += 1
             if map_set(zeta, img.members) != img.members:
                 report.record_failure({
-                    "check": "image-invariance-under-zeta",
-                    "group": spec, "word": render_word(w),
+                    "check": "image-invariance-under-zeta", **where,
                     "zeta_index": zi, "zeta_images": list(zeta.images),
                     "members_w": list(img.member_indices),
                 })
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return check
 
 
-def verify_theorem1(bounds: Bounds) -> VerificationReport:
+def _thm1(bounds: Bounds, words: Sequence[Word]) -> Check:
     """G_{gamma(w)} = G_{w^-1} for sampled gamma in AA(F_d), hence
     chirality and word gamma-chirality verdicts coincide."""
-    report = VerificationReport("thm1", bounds)
-    start = time.perf_counter()
-    samples: Dict[Word, List[Tuple[FreeGroupEndo, Word]]] = {}
-    for spec, g, w in _grid(bounds):
-        try:
-            inv_img = image(g, invert(w), budget=bounds.budget)
-        except BudgetExceededError as exc:
-            _skip(report, spec, w, str(exc))
-            continue
-        if w not in samples:  # gamma and gamma(w) do not depend on the group
-            samples[w] = [(theta, apply_anti(w, FreeAntiAuto(theta))) for theta
-                          in _sampled_autos(bounds, "thm1-gamma", w,
-                                            bounds.gamma_samples)]
+    samples = {w: [(theta, apply_anti(w, FreeAntiAuto(theta))) for theta in
+                   _sampled_autos(bounds, "thm1-gamma", w,
+                                  bounds.gamma_samples)]
+               for w in words}
+
+    def check(report, where, g, w):
+        inv_img = image(g, invert(w), budget=bounds.budget)
         for theta, gw in samples[w]:
-            try:
-                img = image(g, gw, max(w.rank, gw.support_rank),
-                            budget=bounds.budget)
-            except BudgetExceededError as exc:
-                _skip(report, spec, gw, str(exc))
-                continue
+            img = image(g, gw, w.rank, budget=bounds.budget)
             report.cases += 1
             if img.members != inv_img.members:
                 report.record_failure({
-                    "check": "image-of-gamma-w-equals-image-of-w-inverse",
-                    "group": spec, "word": render_word(w),
+                    "check": "image-of-gamma-w-equals-image-of-w-inverse", **where,
                     "theta_images": [render_word(t) for t in theta.images],
                     "gamma_word": render_word(gw),
                     "members_gamma_w": list(img.member_indices),
                     "members_w_inverse": list(inv_img.member_indices),
                 })
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return check
 
 
-def verify_theorem2(bounds: Bounds) -> VerificationReport:
+def _thm2(bounds: Bounds, words: Sequence[Word]) -> Check:
     """gamma(G_w) = (G_w)^-1 for every gamma in AA(G), hence group
     gamma-chirality coincides with chirality."""
-    report = VerificationReport("thm2", bounds)
-    start = time.perf_counter()
-    for spec, g, w in _grid(bounds):
-        try:
-            antis = enumerate_anti_automorphisms(g, bounds.auto_cap)
-            img = image(g, w, budget=bounds.budget)
-        except (BudgetExceededError, CapExceededError) as exc:
-            _skip(report, spec, w, str(exc))
-            continue
+    def check(report, where, g, w):
+        antis = enumerate_anti_automorphisms(g, bounds.auto_cap)
+        img = image(g, w, budget=bounds.budget)
         inverted = invert_set(g, img.members)
         for zi, gamma in enumerate(antis):
             report.cases += 1
             if map_set(gamma, img.members) != inverted:
                 report.record_failure({
-                    "check": "gamma-image-equals-inverted-image",
-                    "group": spec, "word": render_word(w),
+                    "check": "gamma-image-equals-inverted-image", **where,
                     "zeta_index": zi, "gamma_images": list(gamma.images),
                     "members_w": list(img.member_indices),
                 })
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return check
 
 
-def verify_remark(bounds: Bounds) -> VerificationReport:
+def _remark(bounds: Bounds, words: Sequence[Word]) -> Check:
     """The weak-chirality verdict is identical across all gamma in AA(G),
     and counts_{w_gamma}[x] = counts_w[gamma^-1(x)] matches direct twisted
     enumeration."""
-    report = VerificationReport("remark", bounds)
-    start = time.perf_counter()
-    for spec, g, w in _grid(bounds):
-        try:
-            gammas = gamma_data(g, bounds.auto_cap)
-            _, fibers = image(g, w, want_fibers=True, budget=bounds.budget)
-        except (BudgetExceededError, CapExceededError) as exc:
-            _skip(report, spec, w, str(exc))
-            continue
+    def check(report, where, g, w):
+        gammas = gamma_data(g, bounds.auto_cap)
+        _, fibers = image(g, w, want_fibers=True, budget=bounds.budget)
         # One direct evaluation pass, counted per value and shared by every
         # gamma's twisted count.
         direct = [0] * g.order
@@ -279,8 +229,7 @@ def verify_remark(bounds: Bounds) -> VerificationReport:
             report.cases += 1
             if twisted_direct != predicted:
                 report.record_failure({
-                    "check": "twisted-fiber-identity",
-                    "group": spec, "word": render_word(w),
+                    "check": "twisted-fiber-identity", **where,
                     "zeta_index": zi, "gamma_images": list(gamma.images),
                     "direct_counts": twisted_direct,
                     "predicted_counts": predicted,
@@ -290,33 +239,54 @@ def verify_remark(bounds: Bounds) -> VerificationReport:
         report.cases += 1
         if len(set(verdicts)) > 1:
             report.record_failure({
-                "check": "weak-verdict-gamma-independence",
-                "group": spec, "word": render_word(w),
+                "check": "weak-verdict-gamma-independence", **where,
                 "verdicts": verdicts,
             })
+    return check
+
+
+_SUITES = {
+    "lemma1": _lemma1,
+    "thm1": _thm1,
+    "thm2": _thm2,
+    "remark": _remark,
+}
+
+
+def _drive(name: str, bounds: Bounds,
+           words: Sequence[Word]) -> VerificationReport:
+    """One suite's pass over the catalog, checking every (group, word)."""
+    report = VerificationReport(name, bounds)
+    start = time.perf_counter()
+    check = _SUITES[name](bounds, words)
+    for spec, g in catalog_groups(bounds.max_order, bounds.families):
+        for w in words:
+            where = {"group": spec, "word": render_word(w)}
+            try:
+                check(report, where, g, w)
+            except (BudgetExceededError, CapExceededError) as exc:
+                report.skipped.append({**where, "reason": str(exc)})
     report.wall_time_s = time.perf_counter() - start
     return report
 
 
-_SUITES = {
-    "lemma1": verify_lemma,
-    "thm1": verify_theorem1,
-    "thm2": verify_theorem2,
-    "remark": verify_remark,
-}
-
-
 def run_suite(name: str, bounds: Bounds) -> VerificationReport:
-    try:
-        suite = _SUITES[name]
-    except KeyError:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; "
-                         f"choose from {sorted(_SUITES)} or 'all'") from None
-    return suite(bounds)
+                         f"choose from {sorted(_SUITES)} or 'all'")
+    return _drive(name, bounds,
+                  canonical_words(bounds.rank, bounds.max_word_len))
 
 
 def run_all(bounds: Bounds) -> List[VerificationReport]:
-    return [suite(bounds) for suite in _SUITES.values()]
+    words = canonical_words(bounds.rank, bounds.max_word_len)
+    return [_drive(name, bounds, words) for name in _SUITES]
+
+
+verify_lemma = partial(run_suite, "lemma1")
+verify_theorem1 = partial(run_suite, "thm1")
+verify_theorem2 = partial(run_suite, "thm2")
+verify_remark = partial(run_suite, "remark")
 
 
 def summarize(reports: Sequence[VerificationReport]) -> dict:

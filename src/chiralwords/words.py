@@ -7,6 +7,7 @@ generator. Generators are indexed 1..rank. All values here are immutable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -58,9 +59,12 @@ class Word:
         """Reduced word length: sum of |exponent| over syllables."""
         return sum(abs(e) for _, e in self.syllables)
 
-    @property
+    @functools.cached_property
     def support_rank(self) -> int:
-        """Largest generator index actually used (0 for the identity word)."""
+        """Largest generator index actually used (0 for the identity word).
+
+        Cached, since `evaluate` reads it on every tuple; the cache sits
+        outside the fields that equality and hashing read."""
         return max((g for g, _ in self.syllables), default=0)
 
     def letters(self) -> Iterator[Tuple[int, int]]:

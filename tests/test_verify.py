@@ -1,6 +1,6 @@
 import pytest
 
-from chiralwords import reports
+from chiralwords import reports, verify
 from chiralwords.catalog import catalog_specs
 from chiralwords.engine import naive_image
 from chiralwords.groups import build_family
@@ -22,6 +22,7 @@ from chiralwords.words import (
 
 SMALL = Bounds(max_order=8, max_word_len=3, rank=2,
                theta_samples=3, gamma_samples=3, seed=1)
+SUITES = ["lemma1", "thm1", "thm2", "remark"]
 
 
 def test_catalog_contents():
@@ -44,12 +45,45 @@ def test_canonical_words_are_canonical_and_deduped():
     assert {w.syllables for w in words} == orbit_reps
 
 
-@pytest.mark.parametrize("suite", ["lemma1", "thm1", "thm2", "remark"])
-def test_suites_pass_at_small_bounds(suite):
+@pytest.fixture(scope="module")
+def small_run_all():
+    return run_all(SMALL)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suites_pass_at_small_bounds(suite, small_run_all):
     report = run_suite(suite, SMALL)
     assert report.passed
     assert report.cases > 0
     assert not report.skipped
+    # `verify <suite>` gives exactly its part of `verify all`.
+    part = small_run_all[SUITES.index(suite)]
+    assert part.suite == suite
+    assert reports.stable_digest(report.to_structured()) == \
+        reports.stable_digest(part.to_structured())
+
+
+def test_run_all_enumerates_words_once_and_passes_catalog_per_suite(
+        monkeypatch):
+    events = []
+    words, groups = verify.canonical_words, verify.catalog_groups
+
+    def counted_words(*args):
+        events.append("words")
+        return words(*args)
+
+    def counted_groups(*args):
+        events.append("catalog-start")
+        yield from groups(*args)
+        events.append("catalog-end")
+
+    monkeypatch.setattr(verify, "canonical_words", counted_words)
+    monkeypatch.setattr(verify, "catalog_groups", counted_groups)
+    results = run_all(SMALL)
+    # One word list; then one whole pass over the catalog per suite, each
+    # finished before the next suite starts.
+    assert events == ["words"] + ["catalog-start", "catalog-end"] * 4
+    assert [r.suite for r in results] == SUITES
 
 
 def test_unknown_suite():
@@ -108,6 +142,29 @@ def test_budget_exhaustion_is_recorded_not_fatal():
     report = verify_lemma(bounds)
     assert report.skipped
     assert report.passed  # skipped cases are not failures
+
+
+# Digests recorded before the suites shared one driver; cases and skips per
+# suite, in order lemma1, thm1, thm2, remark.
+SKIP_RUNS = [
+    (Bounds(max_order=8, max_word_len=2, theta_samples=1, gamma_samples=1,
+            budget=10),
+     "1f2bfc503732b24e9486e5763bf01aac8f2079eacce6c3be0b28884abfffc0b6",
+     [(28, 52), (12, 52), (16, 52), (28, 52)]),
+    (Bounds(max_order=12, max_word_len=2, theta_samples=1, gamma_samples=1,
+            auto_cap=2),
+     "3083ae63fd8ff943680d399a2ae795814219d86462f5cfb8ca72eaf421c3b1ce",
+     [(16, 92), (100, 0), (8, 92), (16, 92)]),
+]
+
+
+@pytest.mark.parametrize("bounds,digest,counts", SKIP_RUNS,
+                         ids=["budget", "auto-cap"])
+def test_skipped_pairs_keep_their_digest(bounds, digest, counts):
+    results = run_all(bounds)
+    assert [(r.cases, len(r.skipped)) for r in results] == counts
+    assert all(r.passed for r in results)
+    assert reports.stable_digest(summarize(results)) == digest
 
 
 def test_report_structure():

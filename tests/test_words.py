@@ -107,6 +107,18 @@ def test_word_invariants_enforced():
         Word(2, ((3, 1),))
 
 
+def test_cached_support_rank_keeps_equality_and_hashing():
+    w = parse_word("x1 x3^-2 x1", 3)
+    assert w.support_rank == 3  # caches the value on w
+    fresh = parse_word("x1 x3^-2 x1", 3)
+    assert w == fresh and fresh == w
+    assert hash(w) == hash(fresh)
+    table = {fresh: "fresh"}
+    table[w] = "read"
+    assert table == {fresh: "read"}
+    assert w != parse_word("x1 x2^-2 x1", 3)
+
+
 # --- invert and concat -------------------------------------------------------
 
 def test_invert_examples():
