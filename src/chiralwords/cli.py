@@ -48,8 +48,6 @@ EXIT_BUDGET = 3
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["human", "structured"],
                         default="human", help="output rendering")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="max tuple evaluations per image")
     parser.add_argument("--auto-cap", type=int, default=DEFAULT_AUTO_CAP,

@@ -99,6 +99,12 @@ def _resolve_arity(w: Word, arity: Optional[int]) -> int:
 
 
 def _check_budget(g: FiniteGroup, arity: int, budget: int) -> int:
+    # |G|^arity >= 2^arity > budget here: refuse before building a number
+    # that could take seconds to compute and too many digits to print.
+    if g.order >= 2 and arity > budget.bit_length():
+        raise BudgetExceededError(
+            f"{g.order}^{arity} tuples exceed budget {budget}; "
+            "lower the arity or group order, or raise --budget")
     total = g.order ** arity
     if total > budget:
         raise BudgetExceededError(
@@ -235,13 +241,11 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
 
 
 def image(g: FiniteGroup, w: Word, arity: Optional[int] = None,
-          want_fibers: bool = False, budget: int = DEFAULT_BUDGET,
-          threads: int = 1):
+          want_fibers: bool = False, budget: int = DEFAULT_BUDGET):
     """Exact image G_w (and optionally fiber counts) over G^arity.
 
     Arity defaults to the word's rank. Returns a WordImage, or a
     (WordImage, FiberDistribution) pair when want_fibers is set.
-    `threads` is accepted for compatibility and ignored.
     """
     d = _resolve_arity(w, arity)
     counts = _fiber_counts(g, w, d, budget)
@@ -346,7 +350,6 @@ class GammaVerdict(NamedTuple):
 
     chiral: bool                 # gamma(G_w) != G_w
     weak_witness: Optional[int]  # some N_w(x) != N_{w_gamma}(x)
-    maps_to_inverse: bool        # gamma(G_w) == (G_w)^-1, as Theorem 2 says
 
 
 class PairVerdicts(NamedTuple):
@@ -374,43 +377,17 @@ class PairVerdicts(NamedTuple):
         """
         g, members = self.image.group, self.image.members
         counts = self.fibers.counts
-        inverted = invert_set(g, members)
-        verdicts = []
-        for gamma in gammas:
-            mapped = gamma.pull(members)
-            verdicts.append(GammaVerdict(
-                chiral=mapped != members,
-                weak_witness=None if gamma.pull(counts) == counts
-                else weak_verdict_from_counts(g, counts, gamma[1]),
-                maps_to_inverse=mapped == inverted))
-        return verdicts
-
-    def gammas_agree(self, gammas: Sequence[Gamma]) -> bool:
-        """all(self.agrees_with(r) for r in self.against(gammas)), from the
-        same pull-backs; stops at the first gamma that disagrees."""
-        members, counts = self.image.members, self.fibers.counts
-        inverted = invert_set(self.image.group, members)
-        chiral, weakly_chiral = self.chiral, self.weakly_chiral
-        for gamma in gammas:
-            mapped = gamma.pull(members)
-            if (mapped != inverted or (mapped != members) != chiral
-                    or (gamma.pull(counts) != counts) != weakly_chiral):
-                return False
-        return True
-
-    def agrees_with(self, verdict: GammaVerdict) -> bool:
-        """Whether gamma reproduces both inversion verdicts and Theorem 2."""
-        return (verdict.chiral == self.chiral
-                and (verdict.weak_witness is not None) == self.weakly_chiral
-                and verdict.maps_to_inverse)
+        return [GammaVerdict(
+            chiral=gamma.pull(members) != members,
+            weak_witness=None if gamma.pull(counts) == counts
+            else weak_verdict_from_counts(g, counts, gamma[1]))
+            for gamma in gammas]
 
 
 def pair_verdicts(g: FiniteGroup, w: Word, arity: Optional[int] = None,
-                  budget: int = DEFAULT_BUDGET,
-                  threads: int = 1) -> PairVerdicts:
+                  budget: int = DEFAULT_BUDGET) -> PairVerdicts:
     """Scan G^arity once and derive the chiral and weak verdicts against
-    inversion; `PairVerdicts.against` derives them for other gammas.
-    `threads` is accepted for compatibility and ignored."""
+    inversion; `PairVerdicts.against` derives them for other gammas."""
     img, fibers = image(g, w, arity, want_fibers=True, budget=budget)
     return PairVerdicts(
         img, fibers, _chiral_witness(g, img.members),
@@ -431,8 +408,7 @@ def chirality_report(v: PairVerdicts, start: float,
 
 
 def is_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
-                   budget: int = DEFAULT_BUDGET,
-                   threads: int = 1) -> ChiralityReport:
+                   budget: int = DEFAULT_BUDGET) -> ChiralityReport:
     """Decide whether G_w is closed under inversion."""
     start = time.perf_counter()
     v = pair_verdicts(g, w, arity, budget)
@@ -443,8 +419,7 @@ def is_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
 def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
                          gamma_word: Optional[FreeAntiAuto] = None,
                          gamma_group: Optional[GroupMap] = None,
-                         budget: int = DEFAULT_BUDGET,
-                         threads: int = 1) -> ChiralityReport:
+                         budget: int = DEFAULT_BUDGET) -> ChiralityReport:
     """Decide gamma-chirality for a free-group or group anti-automorphism.
 
     Exactly one of gamma_word / gamma_group must be given. The word flavor
@@ -483,8 +458,7 @@ def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
 
 def is_weakly_chiral_pair(g: FiniteGroup, w: Word, gamma: GroupMap,
                           arity: Optional[int] = None,
-                          budget: int = DEFAULT_BUDGET,
-                          threads: int = 1) -> ChiralityReport:
+                          budget: int = DEFAULT_BUDGET) -> ChiralityReport:
     """Decide whether some fiber count differs between w and w_gamma."""
     if gamma.kind != ANTI_AUTOMORPHISM:
         raise GroupError("gamma must be an anti-automorphism")

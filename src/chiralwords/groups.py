@@ -777,6 +777,15 @@ def enumerate_anti_automorphisms(g: FiniteGroup,
 
 
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
+def automorphism_orbit_minima(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP
+                              ) -> Tuple[int, ...]:
+    """For each element x, the least element of its Aut(G)-orbit: the min
+    over zeta of zeta(x). O(|Aut(G)| |G|)."""
+    autos = enumerate_automorphisms(g, cap)
+    return tuple(map(min, zip(*(zeta.images for zeta in autos))))
+
+
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def gamma_data(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP
                ) -> Tuple[Gamma, ...]:
     """Each anti-automorphism of g, in enumeration order, with its inverse

@@ -2,7 +2,7 @@
 
 Structured output is JSON with a fixed field order. The stable digest
 strips wall-time fields first, so byte-identical digests are expected
-across runs and thread counts.
+across runs.
 """
 
 from __future__ import annotations

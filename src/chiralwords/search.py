@@ -17,7 +17,7 @@ from .engine import BudgetExceededError, pair_verdicts
 from .groups import (
     CapExceededError,
     FiniteGroup,
-    gamma_data,
+    automorphism_orbit_minima,
     is_abelian,
     parse_group_spec,
 )
@@ -79,13 +79,18 @@ def _scan_pair(spec: str, g: FiniteGroup, w: Word, auto_cap: int,
     except BudgetExceededError as exc:
         return Finding(spec, g.order, render_word(w), d, None, None, None,
                        None, None, None, 0, skipped=str(exc))
+    # Every gamma in AA(G) is zeta o inversion for some zeta in Aut(G). When
+    # the fiber counts are constant on every Aut(G)-orbit (Lemma 1), each
+    # gamma pulls them back to inversion's, so it gives inversion's chiral
+    # and weak verdicts and maps G_w onto (G_w)^-1.
     gammas_agree: Optional[bool]
     try:
-        gammas = gamma_data(g, auto_cap)
-    except CapExceededError:  # AA(G) not enumerated: agreement unknown
+        rep = automorphism_orbit_minima(g, auto_cap)
+    except CapExceededError:  # Aut(G) not enumerated: agreement unknown
         gammas_agree = None
     else:
-        gammas_agree = v.gammas_agree(gammas)
+        counts = v.fibers.counts
+        gammas_agree = all(counts[x] == counts[r] for x, r in enumerate(rep))
     return Finding(
         group_spec=spec, group_order=g.order, word_text=render_word(w),
         arity=d, chiral=v.chiral, weakly_chiral=v.weakly_chiral,
@@ -101,13 +106,12 @@ def _is_power_word(w: Word) -> bool:
 def search_chiral(rank: int, max_len: int, max_order: int,
                   families: Optional[Sequence[str]] = None,
                   auto_cap: int = 64, budget: int = 2 ** 24,
-                  threads: int = 1, full: bool = False) -> Iterator[Finding]:
+                  full: bool = False) -> Iterator[Finding]:
     """Scan canonical words x catalog groups; yield Findings in order.
 
     Abelian groups and single-generator power words are skipped as proven
     achiral. By default only positive (chiral or weakly chiral or
     highlighted) findings are yielded; `full` yields every scanned pair.
-    `threads` is accepted for compatibility and ignored.
     """
     groups = [(spec, g) for spec, g in catalog_groups(max_order, families)
               if not is_abelian(g)]
@@ -121,12 +125,9 @@ def search_chiral(rank: int, max_len: int, max_order: int,
                 yield finding
 
 
-def replay(record: dict, auto_cap: int = 64, budget: int = 2 ** 24,
-           threads: int = 1) -> Tuple[bool, List[str]]:
-    """Recompute a finding record from scratch; return (ok, mismatches).
-
-    `threads` is accepted for compatibility and ignored.
-    """
+def replay(record: dict, auto_cap: int = 64,
+           budget: int = 2 ** 24) -> Tuple[bool, List[str]]:
+    """Recompute a finding record from scratch; return (ok, mismatches)."""
     try:
         spec = record["group"]
         word_text = record["word"]

@@ -63,12 +63,10 @@ class Bounds:
     seed: int = 0
     auto_cap: int = 64
     budget: int = 2 ** 24
-    threads: int = 1  # accepted for compatibility; the scan is serial
     families: Optional[Tuple[str, ...]] = None
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        del d["threads"]
         d["families"] = list(self.families) if self.families else None
         return d
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -147,14 +148,29 @@ def test_budget_exceeded_exit_3(capsys):
     assert "budget" in err
 
 
-def test_threads_do_not_change_output(capsys):
+def test_huge_arity_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "image", "--group", "S3", "--word", "x1 x2",
+                       "--arity", str(10 ** 9))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "exceed budget" in err and len(err) < 200
+
+
+def test_repeated_queries_give_identical_output(capsys):
     outputs = set()
-    for threads in ("1", "2", "8"):
+    for _ in range(2):
         _, out, _ = run(capsys, "image", "--group", "S4", "--word",
                         "x1 x2 x1^-1 x2^-1", "--fibers",
-                        "--threads", threads, "--format", "structured")
+                        "--format", "structured")
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_threads_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["image", "--group", "S3", "--word", "x1 x2", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_human_format_default(capsys):

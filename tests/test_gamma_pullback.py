@@ -1,9 +1,12 @@
-"""Per-gamma verdicts read through the pull-back gather of gamma^-1.
+"""Per-gamma verdicts read through the pull-back gather of gamma^-1, and
+the Aut(G)-orbit check that certifies a finding's `gammas_agree`.
 
-`PairVerdicts.against` and `PairVerdicts.gammas_agree` compare pulled
-tuples; here they must equal a reference built the direct way, from
-`map_set`, `invert_set` and `weak_verdict_from_counts`, on the whole small
-catalog and on constructed fibers that drive every branch.
+`PairVerdicts.against` compares pulled tuples; here it must equal a
+reference built the direct way, from `map_set` and
+`weak_verdict_from_counts`. `_scan_pair(...).gammas_agree` must equal the
+per-gamma rule (every gamma in AA(G) gives inversion's chiral and weak
+verdicts and maps G_w onto (G_w)^-1) on the small catalog, and must fail on
+constructed fibers that break Aut(G)-invariance.
 """
 
 import pytest
@@ -22,6 +25,7 @@ from chiralwords.engine import (
 from chiralwords.groups import (
     ANTI_AUTOMORPHISM,
     GroupMap,
+    automorphism_orbit_minima,
     build_family,
     gamma_data,
     identity_map,
@@ -29,37 +33,60 @@ from chiralwords.groups import (
     parse_group_spec,
     with_inverse,
 )
+from chiralwords.search import _scan_pair
 from chiralwords.words import parse_word
 
 WORDS = ["x1 x2 x1^-1 x2^-1", "x1^2 x2^3 x1 x2^-1", "x1^2 x2^2", "x1^3"]
+BUDGET = 2 ** 24
+AUTO_CAP = 64
 
 
 def reference(v, gammas):
     """The per-gamma verdicts computed directly, without pull-backs."""
     g, members = v.image.group, v.image.members
     counts = v.fibers.counts
-    inverted = invert_set(g, members)
     return [GammaVerdict(chiral=map_set(gamma, members) != members,
                          weak_witness=weak_verdict_from_counts(
-                             g, counts, inverse),
-                         maps_to_inverse=map_set(gamma, members) == inverted)
+                             g, counts, inverse))
             for gamma, inverse in gammas]
+
+
+def per_gamma_rule(v, gammas):
+    """Whether every gamma reproduces both inversion verdicts and maps G_w
+    onto (G_w)^-1, as Theorem 2 says."""
+    g, members = v.image.group, v.image.members
+    inverted = invert_set(g, members)
+    return all(r.chiral == v.chiral
+               and (r.weak_witness is not None) == v.weakly_chiral
+               and map_set(gamma, members) == inverted
+               for r, (gamma, _) in zip(reference(v, gammas), gammas))
 
 
 def check(v, gammas):
     verdicts = v.against(gammas)
     assert verdicts == reference(v, gammas)
-    assert v.gammas_agree(gammas) == all(v.agrees_with(r) for r in verdicts)
     return verdicts
 
 
-def faked(monkeypatch, g, counts):
-    """pair_verdicts on g with the given fiber counts in place of a scan."""
+def fake_image(monkeypatch, g, counts):
+    """Make every scan of g return the given fiber counts."""
     w = parse_word("x1", 1)
     fake = (WordImage(g, w, 1, tuple(c > 0 for c in counts)),
             FiberDistribution(g, w, 1, tuple(counts)))
     monkeypatch.setattr(engine, "image", lambda *args, **kwargs: fake)
-    return pair_verdicts(g, w)
+    return w
+
+
+def faked(monkeypatch, g, counts):
+    """pair_verdicts on g with the given fiber counts in place of a scan."""
+    return pair_verdicts(g, fake_image(monkeypatch, g, counts))
+
+
+def scan_faked(monkeypatch, spec, counts, auto_cap=AUTO_CAP):
+    """The finding on spec's group with the given fiber counts."""
+    g = build_family(spec)
+    w = fake_image(monkeypatch, g, counts)
+    return _scan_pair(spec, g, w, auto_cap, BUDGET)
 
 
 @pytest.mark.parametrize("spec", catalog_specs(24))
@@ -68,10 +95,12 @@ def test_pullback_matches_direct_verdicts_on_the_catalog(spec):
     gammas = gamma_data(g)
     odd = gammas + (with_inverse(identity_map(g)),)
     for text in WORDS:
-        v = pair_verdicts(g, parse_word(text, 2), 2)
-        assert all(v.agrees_with(r) for r in check(v, gammas))
-        assert v.gammas_agree(gammas)
+        w = parse_word(text, 2)
+        v = pair_verdicts(g, w, 2)
+        check(v, gammas)
         check(v, odd)
+        finding = _scan_pair(spec, g, w, AUTO_CAP, BUDGET)
+        assert finding.gammas_agree is per_gamma_rule(v, gammas) is True
 
 
 @pytest.mark.parametrize("spec", ["C1", "C2"])
@@ -92,10 +121,11 @@ def test_positive_fibers_run_the_disagreeing_branches(monkeypatch):
     gammas = gamma_data(g)
     assert [gamma.images for gamma, _ in gammas] == [(0, 2, 1), (0, 1, 2)]
     inv, ident = check(v, gammas)
-    assert inv == GammaVerdict(True, 1, True) and v.agrees_with(inv)
-    assert ident == GammaVerdict(False, None, False)
-    assert not v.gammas_agree(gammas)
-    assert v.gammas_agree(gammas[:1])
+    assert inv == GammaVerdict(True, 1)
+    assert ident == GammaVerdict(False, None)
+    assert per_gamma_rule(v, gammas[:1]) and not per_gamma_rule(v, gammas)
+    assert automorphism_orbit_minima(g) == (0, 1, 1)
+    assert scan_faked(monkeypatch, "C3", (1, 2, 0)).gammas_agree is False
 
 
 def test_gammas_agree_reads_the_weak_verdict(monkeypatch):
@@ -105,13 +135,39 @@ def test_gammas_agree_reads_the_weak_verdict(monkeypatch):
     g = build_family("C3")
     v = faked(monkeypatch, g, (3, 2, 4))
     assert not v.chiral and v.weak_witness == 1
-    gammas = [with_inverse(identity_map(g))]
-    [ident] = check(v, gammas)
-    assert ident == GammaVerdict(False, None, True)
-    assert not v.gammas_agree(gammas)
-    [inv] = check(v, [with_inverse(inversion_map(g))])
-    assert inv == GammaVerdict(False, 1, True)
-    assert v.gammas_agree([with_inverse(inversion_map(g))])
+    ident = [with_inverse(identity_map(g))]
+    assert check(v, ident) == [GammaVerdict(False, None)]
+    assert not per_gamma_rule(v, ident)
+    inv = [with_inverse(inversion_map(g))]
+    assert check(v, inv) == [GammaVerdict(False, 1)]
+    assert per_gamma_rule(v, inv)
+    assert scan_faked(monkeypatch, "C3", (3, 2, 4)).gammas_agree is False
+
+
+def test_gammas_agree_needs_fibers_constant_on_automorphism_orbits(
+        monkeypatch):
+    # Aut(S3) = Inn(S3), so its orbits are the conjugacy classes. These
+    # fibers differ on the transpositions, so no word has them (Lemma 1).
+    # Every gamma still gives inversion's verdicts, as each one moves the
+    # transpositions or swaps the 3-cycles, so only the orbit check sees
+    # the broken invariance.
+    g = build_family("S3")
+    assert g.labels == ("e", "(2 3)", "(1 2)", "(1 2 3)", "(1 3 2)", "(1 3)")
+    assert automorphism_orbit_minima(g) == (0, 1, 1, 3, 3, 1)
+    counts = (1, 2, 3, 12, 14, 4)
+    v = faked(monkeypatch, g, counts)
+    assert not v.chiral and v.weakly_chiral
+    assert per_gamma_rule(v, gamma_data(g))
+    assert scan_faked(monkeypatch, "S3", counts).gammas_agree is False
+
+
+def test_gammas_agree_is_unknown_above_the_automorphism_cap():
+    g = build_family("S4")
+    w = parse_word(WORDS[0], 2)
+    finding = _scan_pair("S4", g, w, 12, BUDGET)
+    assert finding.gammas_agree is None
+    assert finding.chiral is False and finding.skipped is None
+    assert _scan_pair("S4", g, w, 24, BUDGET).gammas_agree is True
 
 
 def test_weak_witness_is_taken_against_gamma_inverse(monkeypatch):
@@ -133,8 +189,9 @@ def test_sets_are_pulled_through_gamma_inverse(monkeypatch):
     images = (0, 6, 2, 3, 4, 1, 5)
     beta = GroupMap._derived(g, images, ANTI_AUTOMORPHISM)
     v = faked(monkeypatch, g, (1, 1, 0, 0, 0, 0, 0))
-    [verdict] = check(v, [with_inverse(beta)])
-    assert verdict.chiral and verdict.maps_to_inverse
-    [back] = check(v, [with_inverse(beta.inverse())])
-    assert back.chiral and not back.maps_to_inverse
-
+    members = v.image.members
+    inverted = invert_set(g, members)
+    forth, back = with_inverse(beta), with_inverse(beta.inverse())
+    assert [r.chiral for r in check(v, [forth, back])] == [True, True]
+    assert forth.pull(members) == inverted
+    assert back.pull(members) != inverted

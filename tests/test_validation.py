@@ -17,6 +17,7 @@ from chiralwords.groups import (
     GroupMap,
     anti_from_auto,
     auto_from_anti,
+    automorphism_orbit_minima,
     build_family,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
@@ -73,7 +74,7 @@ def test_bad_user_maps_raise():
 
 def test_law_checked_once_per_distinct_map(monkeypatch):
     for cached in (enumerate_automorphisms, enumerate_anti_automorphisms,
-                   gamma_data):
+                   gamma_data, automorphism_orbit_minima):
         cached.cache_clear()
     seen = []
     original = GroupMap.__post_init__
