@@ -1,7 +1,8 @@
 """Command-line interface: catalog inspection, images, chirality, suites.
 
-Exit codes: 0 success/pass, 1 verification or replay failure, 2 usage
-error, 3 evaluation budget exceeded.
+Exit codes: 0 success/pass or a reader that closed stdout early, 1
+verification or replay failure, 2 usage error (flags and gammas are checked
+before any scan), 3 evaluation budget exceeded.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-import time
 from typing import List, Optional
 
 from . import reports
@@ -18,9 +19,9 @@ from .catalog import catalog_groups
 from .engine import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    chirality_report,
     image,
-    pair_verdicts,
+    is_chiral_pair,
+    is_weakly_chiral_pair,
 )
 from .groups import (
     DEFAULT_AUTO_CAP,
@@ -158,15 +159,8 @@ def _select_gammas(g, gamma_arg: Optional[str], auto_cap: int):
 def cmd_chiral(args) -> int:
     g = parse_group_spec(args.group)
     w = _parse_word_arg(args.word, args.rank)
-    start = time.perf_counter()
-    v = pair_verdicts(g, w, args.arity, budget=args.budget)
     gammas = _select_gammas(g, args.gamma, args.auto_cap)
-    results = [{"gamma_index": i, "chiral": r.chiral}
-               for i, r in enumerate(v.against(gammas))]
-    report = chirality_report(
-        v, start, chiral=v.chiral, chiral_witness=v.chiral_witness,
-        gamma_results=results,
-        all_gammas_agree=all(r["chiral"] == v.chiral for r in results))
+    report = is_chiral_pair(g, w, args.arity, args.budget, gammas)
     verdict = "chiral" if report.chiral else "not chiral"
     lines = [f"{g.name}, w = {report.word_text}: {verdict}"]
     if report.chiral_witness is not None:
@@ -182,18 +176,7 @@ def cmd_weak_chiral(args) -> int:
     g = parse_group_spec(args.group)
     w = _parse_word_arg(args.word, args.rank)
     gammas = _select_gammas(g, args.gamma, args.auto_cap)
-    start = time.perf_counter()
-    v = pair_verdicts(g, w, args.arity, budget=args.budget)
-    per_gamma = v.against(gammas)
-    # The reported verdict and witness are those of the first gamma.
-    witness = per_gamma[0].weak_witness
-    results = [{"gamma_index": i, "weakly_chiral": r.weak_witness is not None}
-               for i, r in enumerate(per_gamma)]
-    report = chirality_report(
-        v, start, weakly_chiral=witness is not None, weak_witness=witness,
-        counts=v.fibers.counts, gamma_results=results,
-        all_gammas_agree=all(r["weakly_chiral"] == (witness is not None)
-                             for r in results))
+    report = is_weakly_chiral_pair(g, w, gammas, args.arity, args.budget)
     verdict = "weakly chiral" if report.weakly_chiral else "not weakly chiral"
     lines = [f"{g.name}, w = {report.word_text}: {verdict}",
              f"all gammas agree: {report.all_gammas_agree}"]
@@ -294,34 +277,23 @@ def build_parser() -> argparse.ArgumentParser:
                                      "C2xC4, or @file.json")
         ga.set_defaults(func=cmd_group, action=action)
 
-    p = sub.add_parser("image", help="compute a word-map image")
-    _add_common(p)
-    p.add_argument("--group", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--arity", type=int)
-    p.add_argument("--fibers", action="store_true")
-    p.set_defaults(func=cmd_image)
-
-    p = sub.add_parser("chiral", help="decide chirality of (G, w)")
-    _add_common(p)
-    p.add_argument("--group", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--arity", type=int)
-    p.add_argument("--gamma", help="'inv', an automorphism index, or "
-                                   "omitted to check all gammas")
-    p.set_defaults(func=cmd_chiral)
-
-    p = sub.add_parser("weak-chiral", help="decide weak chirality of (G, w)")
-    _add_common(p)
-    p.add_argument("--group", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--arity", type=int)
-    p.add_argument("--gamma", help="'inv', an automorphism index, or "
-                                   "omitted to check all gammas")
-    p.set_defaults(func=cmd_weak_chiral)
+    for name, help_text, func in [
+            ("image", "compute a word-map image", cmd_image),
+            ("chiral", "decide chirality of (G, w)", cmd_chiral),
+            ("weak-chiral", "decide weak chirality of (G, w)",
+             cmd_weak_chiral)]:
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        p.add_argument("--group", required=True)
+        p.add_argument("--word", required=True)
+        p.add_argument("--rank", type=int)
+        p.add_argument("--arity", type=int)
+        if func is cmd_image:
+            p.add_argument("--fibers", action="store_true")
+        else:
+            p.add_argument("--gamma", help="'inv', an automorphism index, "
+                                           "or omitted to check all gammas")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run the verification suites")
     _add_common(p)
@@ -369,7 +341,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader wants no more output; the flush at exit goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -25,7 +25,6 @@ from .groups import (
     GroupMap,
     conjugacy_classes,
     element_orders,
-    with_inverse,
 )
 from .words import FreeAntiAuto, Word, apply_anti, render_word
 
@@ -137,22 +136,9 @@ class ScanTables:
         k = exp % self.exponent
         pows = self.powers.get(k)
         if pows is None:
-            pows = self.powers[k] = _power_table(self.group, k)
+            g = self.group
+            pows = self.powers[k] = tuple(g.power(a, k) for a in g.elements())
         return pows
-
-
-def _power_table(g: FiniteGroup, k: int) -> Tuple[int, ...]:
-    """a^k (k >= 0) for every element a, by square-and-multiply over all of
-    G at once."""
-    table = g.table
-    result, base = [0] * g.order, list(g.elements())
-    while k:
-        if k & 1:
-            result = [table[r][b] for r, b in zip(result, base)]
-        k >>= 1
-        if k:
-            base = [table[b][b] for b in base]
-    return tuple(result)
 
 
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -394,11 +380,21 @@ def pair_verdicts(g: FiniteGroup, w: Word, arity: Optional[int] = None,
         weak_verdict_from_counts(g, fibers.counts, g.inverses))
 
 
-def chirality_report(v: PairVerdicts, start: float,
-                     **verdicts) -> ChiralityReport:
-    """A report on v's pair holding the given verdict fields, timed from
-    `start` (a time.perf_counter() reading)."""
+def _check_antis(gammas: Sequence[Gamma]) -> None:
+    if any(gamma.kind != ANTI_AUTOMORPHISM for gamma, _ in gammas):
+        raise GroupError("gamma must be an anti-automorphism")
+
+
+def _report(v: PairVerdicts, start: float, key: str,
+            per_gamma: Sequence[bool], **verdicts) -> ChiralityReport:
+    """A report on v's pair with the given verdicts, timed from `start`; with
+    gammas, each one's verdict under `key` and if all equal verdicts[key]."""
     img = v.image
+    if per_gamma:
+        verdicts["gamma_results"] = [{"gamma_index": i, key: x}
+                                     for i, x in enumerate(per_gamma)]
+        verdicts["all_gammas_agree"] = all(x == verdicts[key]
+                                           for x in per_gamma)
     return ChiralityReport(
         group_name=img.group.name, group_order=img.group.order,
         word_text=render_word(img.word), arity=img.arity,
@@ -408,12 +404,18 @@ def chirality_report(v: PairVerdicts, start: float,
 
 
 def is_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
-                   budget: int = DEFAULT_BUDGET) -> ChiralityReport:
-    """Decide whether G_w is closed under inversion."""
+                   budget: int = DEFAULT_BUDGET,
+                   gammas: Optional[Sequence[Gamma]] = None
+                   ) -> ChiralityReport:
+    """Decide whether G_w is closed under inversion. With `gammas` (built by
+    `gamma_data` or `with_inverse`), the report also holds each one's
+    verdict gamma(G_w) != G_w and whether all agree with inversion's."""
     start = time.perf_counter()
+    _check_antis(gammas or ())
     v = pair_verdicts(g, w, arity, budget)
-    return chirality_report(v, start, chiral=v.chiral,
-                            chiral_witness=v.chiral_witness)
+    per_gamma = [r.chiral for r in v.against(gammas or ())]
+    return _report(v, start, "chiral", per_gamma, chiral=v.chiral,
+                   chiral_witness=v.chiral_witness)
 
 
 def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
@@ -456,14 +458,20 @@ def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
         wall_time_s=time.perf_counter() - start)
 
 
-def is_weakly_chiral_pair(g: FiniteGroup, w: Word, gamma: GroupMap,
+def is_weakly_chiral_pair(g: FiniteGroup, w: Word, gammas: Sequence[Gamma],
                           arity: Optional[int] = None,
                           budget: int = DEFAULT_BUDGET) -> ChiralityReport:
-    """Decide whether some fiber count differs between w and w_gamma."""
-    if gamma.kind != ANTI_AUTOMORPHISM:
-        raise GroupError("gamma must be an anti-automorphism")
+    """Decide whether some fiber count differs between w and w_gamma, for
+    the first of `gammas` (built by `gamma_data` or `with_inverse`); the
+    report also holds each gamma's verdict and whether all agree."""
+    if not gammas:
+        raise ValueError("pass at least one gamma")
     start = time.perf_counter()
+    _check_antis(gammas)
     v = pair_verdicts(g, w, arity, budget)
-    witness = v.against([with_inverse(gamma)])[0].weak_witness
-    return chirality_report(v, start, weakly_chiral=witness is not None,
-                            weak_witness=witness, counts=v.fibers.counts)
+    per_gamma = v.against(gammas)
+    witness = per_gamma[0].weak_witness
+    return _report(v, start, "weakly_chiral",
+                   [r.weak_witness is not None for r in per_gamma],
+                   weakly_chiral=witness is not None, weak_witness=witness,
+                   counts=v.fibers.counts)

@@ -21,6 +21,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 DEFAULT_ORDER_CAP = 512
 DEFAULT_AUTO_CAP = 64
+# Automorphisms an enumeration collects before CapExceededError: above the
+# catalog's 192 and |Aut(C2^4)| = 20,160, far below |Aut(C2^5)| ~ 10^7.
+MAX_AUTOMORPHISMS = 2 ** 15
 # A group file may hold 16 bytes per entry of a table at the order cap
 # (4 MiB); larger files are refused before they are read.
 MAX_GROUP_FILE_BYTES = 16 * DEFAULT_ORDER_CAP ** 2
@@ -119,8 +122,7 @@ class GroupValidation:
         return not self.violations
 
 
-def validate_group(table: Sequence[Sequence[int]],
-                   max_violations: int = 10) -> GroupValidation:
+def validate_group(table: Sequence[Sequence[int]]) -> GroupValidation:
     """Check that a square table over 0..n-1 is a group.
 
     Verifies squareness, entry range, row/column bijectivity, the existence
@@ -128,13 +130,13 @@ def validate_group(table: Sequence[Sequence[int]],
     test: (ab)c = a(bc) for all a, b and every c in a set that reaches
     every element from the identity by right multiplication, O(n^2 |gens|).
     The c passing for all a, b are closed under products, so that suffices.
-    Violations name the offending entries.
+    At most 10 violations are listed; each names the offending entries.
     """
     report = GroupValidation()
 
     def add(msg: str) -> bool:
         report.violations.append(msg)
-        return len(report.violations) >= max_violations
+        return len(report.violations) >= 10
 
     n = len(table)
     if n == 0:
@@ -336,13 +338,12 @@ def build_family(spec: str) -> FiniteGroup:
     return alternating_group(n)
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup,
-                   order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; pair (i, j) gets index i*|h| + j."""
     n = g.order * h.order
-    if n > order_cap:
+    if n > DEFAULT_ORDER_CAP:
         raise CapExceededError(
-            f"product order {n} exceeds cap {order_cap}")
+            f"product order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     nh = h.order
     table = [[g.table[i1][i2] * nh + h.table[j1][j2]
               for i2 in range(g.order) for j2 in range(nh)]
@@ -398,8 +399,7 @@ def from_cayley_document(doc: dict) -> FiniteGroup:
 
 
 def from_permutation_generators(perms: Sequence[Sequence[int]],
-                                name: str = "perm-group",
-                                order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+                                name: str = "perm-group") -> FiniteGroup:
     """Close a set of permutations of 0..m-1 under composition.
 
     Elements are ordered by breadth-first discovery from the identity.
@@ -422,9 +422,9 @@ def from_permutation_generators(perms: Sequence[Sequence[int]],
         for gen in gens:
             y = _perm_compose(x, gen)
             if y not in index:
-                if len(elements) >= order_cap:
+                if len(elements) >= DEFAULT_ORDER_CAP:
                     raise CapExceededError(
-                        f"closure exceeds order cap {order_cap}")
+                        f"closure exceeds order cap {DEFAULT_ORDER_CAP}")
                 index[y] = len(elements)
                 elements.append(y)
                 queue.append(y)
@@ -736,20 +736,24 @@ def _image_search(g: FiniteGroup, h: FiniteGroup, first_only: bool) -> List[Tupl
     results: List[Tuple[int, ...]] = []
 
     def rec(i: int, chosen: List[int]) -> bool:
-        if i == len(gens):
-            mapping = _extend_map(g, h, gens, chosen)
-            if mapping is not None and len(mapping) == g.order:
-                results.append(tuple(mapping[x] for x in g.elements()))
-                return first_only
-            return False
         target_order = g_orders[gens[i]]
         for c in h.elements():
             if h_orders[c] != target_order:
                 continue
-            if _extend_map(g, h, gens[: i + 1], chosen + [c]) is None:
+            mapping = _extend_map(g, h, gens[: i + 1], chosen + [c])
+            if mapping is None:
                 continue
-            if rec(i + 1, chosen + [c]):
-                return True
+            if i + 1 < len(gens):
+                if rec(i + 1, chosen + [c]):
+                    return True
+            elif len(mapping) == g.order:
+                if len(results) == MAX_AUTOMORPHISMS:
+                    raise CapExceededError(
+                        f"{g.name} has more than {MAX_AUTOMORPHISMS} "
+                        "automorphisms, the enumeration bound")
+                results.append(tuple(mapping[x] for x in g.elements()))
+                if first_only:
+                    return True
         return False
 
     if g.order == 1:

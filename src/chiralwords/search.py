@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import catalog_groups
-from .engine import BudgetExceededError, pair_verdicts
+from .engine import DEFAULT_BUDGET, BudgetExceededError, pair_verdicts
 from .groups import (
+    DEFAULT_AUTO_CAP,
     CapExceededError,
     FiniteGroup,
     automorphism_orbit_minima,
@@ -105,7 +106,8 @@ def _is_power_word(w: Word) -> bool:
 
 def search_chiral(rank: int, max_len: int, max_order: int,
                   families: Optional[Sequence[str]] = None,
-                  auto_cap: int = 64, budget: int = 2 ** 24,
+                  auto_cap: int = DEFAULT_AUTO_CAP,
+                  budget: int = DEFAULT_BUDGET,
                   full: bool = False) -> Iterator[Finding]:
     """Scan canonical words x catalog groups; yield Findings in order.
 
@@ -125,8 +127,8 @@ def search_chiral(rank: int, max_len: int, max_order: int,
                 yield finding
 
 
-def replay(record: dict, auto_cap: int = 64,
-           budget: int = 2 ** 24) -> Tuple[bool, List[str]]:
+def replay(record: dict, auto_cap: int = DEFAULT_AUTO_CAP,
+           budget: int = DEFAULT_BUDGET) -> Tuple[bool, List[str]]:
     """Recompute a finding record from scratch; return (ok, mismatches)."""
     try:
         spec = record["group"]

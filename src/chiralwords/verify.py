@@ -15,19 +15,20 @@ import hashlib
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import product as iter_product
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .catalog import catalog_groups
 from .engine import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
-    evaluate,
     image,
     invert_set,
     map_set,
+    naive_image,
     weak_verdict_from_counts,
 )
 from .groups import (
+    DEFAULT_AUTO_CAP,
     CapExceededError,
     FiniteGroup,
     enumerate_anti_automorphisms,
@@ -61,8 +62,8 @@ class Bounds:
     gamma_samples: int = 10
     theta_length: int = 5
     seed: int = 0
-    auto_cap: int = 64
-    budget: int = 2 ** 24
+    auto_cap: int = DEFAULT_AUTO_CAP
+    budget: int = DEFAULT_BUDGET
     families: Optional[Tuple[str, ...]] = None
 
     def to_dict(self) -> dict:
@@ -213,11 +214,8 @@ def _remark(bounds: Bounds, words: Sequence[Word]) -> Check:
     def check(report, where, g, w):
         gammas = gamma_data(g, bounds.auto_cap)
         _, fibers = image(g, w, want_fibers=True, budget=bounds.budget)
-        # One direct evaluation pass, counted per value and shared by every
-        # gamma's twisted count.
-        direct = [0] * g.order
-        for tup in iter_product(range(g.order), repeat=w.rank):
-            direct[evaluate(g, w, tup)] += 1
+        # One direct evaluation pass, shared by every gamma's twisted count.
+        direct = naive_image(g, w, budget=bounds.budget)[1].counts
         verdicts = []
         for zi, (gamma, gamma_inv) in enumerate(gammas):
             twisted_direct = [0] * g.order

@@ -20,6 +20,9 @@ Syllable = Tuple[int, int]  # (generator index 1..rank, nonzero exponent)
 # before expanding. Image scans raise syllables to powers by squaring and
 # have no such bound.
 MAX_EXPANSION = 1 << 20
+# Most digits of a generator index or exponent: the least limit the
+# interpreter's int/str conversion can be set to, so int() never refuses one.
+MAX_DIGITS = 640
 
 
 class WordSyntaxError(ValueError):
@@ -111,6 +114,12 @@ def reduce_syllables(syllables: Iterable[Syllable], rank: int) -> Word:
     return Word(rank, tuple((g, e) for g, e in stack))
 
 
+def _int_at(what: str, text: str, start: int, end: int) -> int:
+    if end - start - (text[start] in "+-") > MAX_DIGITS:
+        raise WordSyntaxError(f"{what} has more than {MAX_DIGITS} digits", start)
+    return int(text[start:end])
+
+
 def parse_word(text: str, rank: int) -> Word:
     """Parse word text like "x1 x3^2" or "x1*x3^-2"; "e" is the identity.
 
@@ -135,7 +144,7 @@ def parse_word(text: str, rank: int) -> Word:
             i += 1
         if i == start:
             raise WordSyntaxError("expected generator index after 'x'", i)
-        gen = int(text[start:i])
+        gen = _int_at("generator index", text, start, i)
         if gen == 0:
             raise WordSyntaxError("generator index 0 is not allowed", start)
         if gen > rank:
@@ -150,7 +159,7 @@ def parse_word(text: str, rank: int) -> Word:
                 i += 1
             if i == start or not text[start:i].lstrip("+-"):
                 raise WordSyntaxError("expected integer exponent after '^'", start)
-            exp = int(text[start:i])
+            exp = _int_at("exponent", text, start, i)
             if exp == 0:
                 raise WordSyntaxError("exponent 0 is not allowed", start)
         syllables.append((gen, exp))

@@ -138,5 +138,5 @@ def test_positive_chiral_and_weak_verdicts(monkeypatch):
     [ident] = v.against([with_inverse(identity_map(g))])
     assert not ident.chiral and ident.weak_witness is None
     assert (ident.chiral, ident.weak_witness) != (v.chiral, v.weak_witness)
-    report = is_weakly_chiral_pair(g, w, inversion_map(g))
+    report = is_weakly_chiral_pair(g, w, [with_inverse(inversion_map(g))])
     assert report.weakly_chiral and report.weak_witness == 1

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import chiralwords
+from chiralwords import cli
 from chiralwords.cli import main
+from chiralwords.groups import MAX_AUTOMORPHISMS
+from chiralwords.words import MAX_DIGITS
 
 
 def run(capsys, *argv):
@@ -188,3 +196,83 @@ def test_word_beyond_inferred_rank_names_the_limit(capsys):
                        "--rank", "65", "--format", "structured")
     assert code == 0
     assert json.loads(out)["arity"] == 65
+
+
+def cli_process(*argv, **kwargs):
+    """Start the CLI in a fresh interpreter on this checkout's package."""
+    src = str(Path(chiralwords.__file__).resolve().parent.parent)
+    return subprocess.Popen(
+        [sys.executable, "-m", "chiralwords.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("command,predicate", [
+    ("chiral", "is_chiral_pair"), ("weak-chiral", "is_weakly_chiral_pair")])
+def test_commands_build_their_report_with_one_predicate_call(
+        capsys, monkeypatch, command, predicate):
+    real, calls = getattr(cli, predicate), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, predicate, counting)
+    for gamma in ([], ["--gamma", "inv"], ["--gamma", "1"]):
+        calls.clear()
+        code, out, _ = run(capsys, command, "--group", "S3", "--word",
+                           "x1^2 x2", "--format", "structured", *gamma)
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["gamma_results"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--group", "D128", "--word", "x1 x2 x3 x4"],
+    ["--group", "S3", "--word", " ".join(f"x{i}" for i in range(1, 11)),
+     "--gamma", "99"]])
+def test_flags_are_checked_before_the_scan(capsys, argv):
+    """Gammas are selected at entry, so both commands refuse a bad
+    --gamma or an Aut(G) above --auto-cap before a scan over the budget."""
+    codes = {run(capsys, command, *argv)[0]
+             for command in ("chiral", "weak-chiral")}
+    assert codes == {2}
+
+
+def test_automorphism_enumeration_stops_at_its_bound():
+    # |Aut(C2^5)| = |GL(5,2)| is about 10^7; the order 32 is under the cap.
+    start = time.perf_counter()
+    proc = cli_process("group", "autos", "C2xC2xC2xC2xC2", text=True)
+    try:
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2
+    assert f"more than {MAX_AUTOMORPHISMS} automorphisms" in err
+
+
+def test_closed_pipe_ends_the_run_quietly():
+    # About 280 kB of records: more than a pipe holds, so the writer sees
+    # the reader close.
+    proc = cli_process("search", "--max-len", "6", "--max-order", "16",
+                       "--full")
+    try:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+    assert all(line.startswith(b"{") for line in lines)
+    assert err == b""
+
+
+@pytest.mark.parametrize("word,position", [
+    ("x1^" + "1" * 5000, 3), ("x1 x" + "1" * 5000, 4)],
+    ids=["exponent", "index"])
+def test_long_integers_in_words_are_refused_with_their_position(
+        capsys, word, position):
+    code, _, err = run(capsys, "image", "--group", "S3", "--word", word)
+    assert code == 2
+    assert f"has more than {MAX_DIGITS} digits" in err
+    assert f"(at position {position})" in err

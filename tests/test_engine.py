@@ -18,11 +18,13 @@ from chiralwords.engine import (
 )
 from chiralwords.groups import (
     ANTI_AUTOMORPHISM,
+    GroupError,
     GroupMap,
     anti_from_auto,
     build_family,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
+    gamma_data,
     identity_map,
     inversion_map,
     parse_group_spec,
@@ -284,14 +286,40 @@ def test_gamma_flavor_validation():
 
 def test_weak_chirality_examples():
     c4 = build_family("C4")
-    gamma = anti_from_auto(identity_map(c4))
+    gamma = [with_inverse(anti_from_auto(identity_map(c4)))]
     assert not is_weakly_chiral_pair(c4, parse_word("x1^2", 1), gamma).weakly_chiral
     for spec in ["C6", "S3", "Q8"]:
         g = parse_group_spec(spec)
-        gm = anti_from_auto(identity_map(g))
+        gm = [with_inverse(anti_from_auto(identity_map(g)))]
         r = is_weakly_chiral_pair(g, parse_word("x1", 2), gm)
         assert not r.weakly_chiral
         assert set(r.counts) == {g.order}  # all fibers |G|^(d-1)
+
+
+def test_predicates_report_every_gamma_they_are_given():
+    g = parse_group_spec("S3")
+    w = parse_word("x1^2 x2", 2)
+    gammas = gamma_data(g)
+    plain = is_chiral_pair(g, w)
+    assert (plain.gamma_results, plain.all_gammas_agree) == ([], None)
+    report = is_chiral_pair(g, w, gammas=gammas)
+    assert [r["gamma_index"] for r in report.gamma_results] == [0, 1, 2, 3, 4, 5]
+    assert report.all_gammas_agree and report.chiral == plain.chiral
+    weak = is_weakly_chiral_pair(g, w, gammas)
+    assert [r["weakly_chiral"] for r in weak.gamma_results] == [False] * 6
+    assert weak.all_gammas_agree and weak.counts is not None
+
+
+def test_predicates_refuse_a_gamma_that_is_no_anti_automorphism():
+    g = parse_group_spec("S3")
+    w = parse_word("x1 x2", 2)
+    auto = [with_inverse(identity_map(g))]
+    with pytest.raises(GroupError, match="anti-automorphism"):
+        is_chiral_pair(g, w, gammas=auto)
+    with pytest.raises(GroupError, match="anti-automorphism"):
+        is_weakly_chiral_pair(g, w, auto)
+    with pytest.raises(ValueError, match="at least one gamma"):
+        is_weakly_chiral_pair(g, w, [])
 
 
 def test_weak_verdict_gamma_independent(rng):
@@ -300,8 +328,8 @@ def test_weak_verdict_gamma_independent(rng):
         gammas = enumerate_anti_automorphisms(g)
         for _ in range(8):
             w = random_reduced_word(rng, 2, 4)
-            verdicts = {is_weakly_chiral_pair(g, w, gamma).weakly_chiral
-                        for gamma in gammas}
+            verdicts = {is_weakly_chiral_pair(
+                g, w, [with_inverse(gamma)]).weakly_chiral for gamma in gammas}
             assert len(verdicts) == 1
 
 

@@ -115,10 +115,16 @@ def test_product_identity_and_iso():
         build_family("C6"))
 
 
+def test_automorphisms_under_the_enumeration_bound_are_all_found():
+    # |Aut(C2^4)| = |GL(4,2)| = 20,160, below MAX_AUTOMORPHISMS.
+    autos = enumerate_automorphisms(parse_group_spec("C2xC2xC2xC2"))
+    assert len(autos) == 20160
+
+
 def test_product_order_cap():
     c30 = build_family("C30")
     with pytest.raises(CapExceededError):
-        direct_product(c30, c30, order_cap=512)
+        direct_product(c30, c30)
 
 
 # --- file documents -----------------------------------------------------------
@@ -166,9 +172,9 @@ def test_perm_generators_empty_and_errors():
     assert from_permutation_generators([]).order == 1
     with pytest.raises(GroupError):
         from_permutation_generators([[0, 0, 1]])
-    with pytest.raises(CapExceededError):
-        from_permutation_generators([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]],
-                                    order_cap=16)
+    # S6 has order 720, above the order cap of 512.
+    with pytest.raises(CapExceededError, match="closure exceeds order cap 512"):
+        from_permutation_generators([[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]])
 
 
 # --- validation -----------------------------------------------------------------

@@ -87,6 +87,14 @@ def test_replay_malformed_records():
         replay({"group": "S3", "word": "x@@", "arity": 2})
 
 
+@pytest.mark.parametrize("word", ["x1^" + "1" * 5000, "x1 x" + "1" * 5000],
+                         ids=["exponent", "index"])
+def test_replay_refuses_a_long_integer_in_the_word(word):
+    record = {"group": "S3", "word": word, "arity": 2}
+    with pytest.raises(MalformedRecordError, match="more than 640 digits.*position"):
+        replay(record)
+
+
 def test_replay_of_a_huge_arity_record_is_a_skip():
     record = {"group": "S3", "word": "x1*x2", "arity": 2_000_000}
     assert replay(record) == (True, [])
