@@ -240,7 +240,7 @@ def cmd_replay(args) -> int:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer of too many digits
                 raise MalformedRecordError(
                     f"line {lineno}: invalid JSON: {exc}") from None
             ok, mismatches = replay(record, auto_cap=args.auto_cap,

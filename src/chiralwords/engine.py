@@ -1,10 +1,12 @@
 """Word-map evaluation over G^d: images, fibers, and chirality verdicts.
 
-The optimized image computation scans one first coordinate per conjugacy
-class, weighted by the class size, since fiber counts are class functions;
-it evaluates blocks of trailing coordinates at once and skips coordinates
-the word does not read. The tables a scan reads are built once per group
-(`scan_tables`). `naive_image` is the independent reference path.
+On abelian groups the word map is a homomorphism, so its fiber counts
+come in closed form from one power table, with no scan. Elsewhere the
+image computation scans one first coordinate per conjugacy class,
+weighted by the class size, since fiber counts are class functions; it
+evaluates blocks of trailing coordinates at once and skips coordinates
+the word does not read. The tables both paths read are built once per
+group (`scan_tables`). `naive_image` is the independent reference path.
 """
 
 from __future__ import annotations
@@ -152,16 +154,27 @@ SCAN_BLOCK = 256
 
 def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
                   budget: int) -> List[int]:
-    """Exact fiber counts of w over G^arity, from a class-weighted scan.
+    """Exact fiber counts of w over G^arity: in closed form on abelian
+    groups, from a class-weighted scan on the rest.
 
-    Only the coordinates the word reads are scanned; each unread one
-    multiplies every count by |G|. Conjugation by h maps the tuples with
-    first scanned coordinate r onto those with first coordinate h r h^-1
-    and conjugates their values, so the counts are class functions. The
-    first coordinate therefore runs over one representative r per
-    conjugacy class, weighted by |class(r)|, and each class's weighted
-    total is then shared equally among its members. On abelian groups
-    every class is a singleton and this is the full scan.
+    On an abelian group (every conjugacy class a singleton) w(t) is
+    prod t_i^{e_i}, where e_i is the exponent sum of x_i, so w is a
+    homomorphism G^arity -> G. Its image, the product of the subgroups
+    G^{e_i}, is G^m, the m-th powers, for m the gcd of the e_i (Bezout;
+    m = 0 when every sum is 0, giving {e}). Every fiber over the image is
+    a coset of the kernel, so each element of G^m has |G|^arity / |G^m|
+    preimages and every other element none. The power map a -> a^m is a
+    homomorphism with image G^m, so counting its preimages through
+    `power_table(m)` and scaling by |G|^(arity-1) gives those counts
+    without a scan.
+
+    Otherwise only the coordinates the word reads are scanned; each
+    unread one multiplies every count by |G|. Conjugation by h maps the
+    tuples with first scanned coordinate r onto those with first
+    coordinate h r h^-1 and conjugates their values, so the counts are
+    class functions. The first coordinate therefore runs over one
+    representative r per conjugacy class, weighted by |class(r)|, and
+    each class's weighted total is then shared equally among its members.
 
     The trailing coordinates, as many as fit in SCAN_BLOCK tuples (the
     first coordinate stays outside when there are others), are covered at
@@ -177,13 +190,21 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
     if not read:  # the identity word: every tuple maps to the identity
         counts[0] = n ** arity
         return counts
+    tables = scan_tables(g)
+    if len(tables.classes) == n:  # abelian: w is a homomorphism
+        sums = dict.fromkeys(read, 0)
+        for gen, exp in w.syllables:
+            sums[gen] += exp
+        scale = n ** (arity - 1)
+        for x in tables.power_table(math.gcd(*sums.values())):
+            counts[x] += scale
+        return counts
     k = len(read)
     inner = k - 1  # the block is coordinates inner..k-1
     while inner > 1 and n ** (k - inner + 1) <= SCAN_BLOCK:
         inner -= 1
     block = list(product(range(n), repeat=k - inner))
     slot = {gen: i for i, gen in enumerate(read)}
-    tables = scan_tables(g)
     # Per-syllable powers: indexed by element outside the block and by
     # block tuple inside it.
     sylls = []

@@ -23,6 +23,9 @@ MAX_EXPANSION = 1 << 20
 # Most digits of a generator index or exponent: the least limit the
 # interpreter's int/str conversion can be set to, so int() never refuses one.
 MAX_DIGITS = 640
+# Indices and exponents are ASCII digits only: str.isdigit() also accepts
+# characters such as '²' that int() refuses.
+DIGITS = "0123456789"
 
 
 class WordSyntaxError(ValueError):
@@ -140,7 +143,7 @@ def parse_word(text: str, rank: int) -> Word:
             raise WordSyntaxError(f"expected 'x', found {text[i]!r}", i)
         i += 1
         start = i
-        while i < n and text[i].isdigit():
+        while i < n and text[i] in DIGITS:
             i += 1
         if i == start:
             raise WordSyntaxError("expected generator index after 'x'", i)
@@ -155,7 +158,7 @@ def parse_word(text: str, rank: int) -> Word:
             start = i
             if i < n and text[i] in "+-":
                 i += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in DIGITS:
                 i += 1
             if i == start or not text[start:i].lstrip("+-"):
                 raise WordSyntaxError("expected integer exponent after '^'", start)

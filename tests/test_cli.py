@@ -276,3 +276,20 @@ def test_long_integers_in_words_are_refused_with_their_position(
     assert code == 2
     assert f"has more than {MAX_DIGITS} digits" in err
     assert f"(at position {position})" in err
+
+
+def test_non_ascii_digits_in_words_are_refused_with_their_position(capsys):
+    code, _, err = run(capsys, "image", "--group", "S3", "--word", "x\u00b2")
+    assert code == 2
+    assert err == "error: expected generator index after 'x' (at position 1)\n"
+
+
+def test_replay_names_the_line_of_an_integer_json_refuses(capsys, tmp_path):
+    # json.loads raises a plain ValueError past 4,300 digits, not a
+    # JSONDecodeError.
+    path = tmp_path / "huge.jsonl"
+    path.write_text('{"group":"S3","word":"x1","arity":' + "1" * 5000 + "}\n")
+    code, out, err = run(capsys, "replay", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: invalid JSON: ")

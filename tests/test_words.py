@@ -67,6 +67,16 @@ def test_parse_error_reports_position():
     assert exc.value.position == 4
 
 
+@pytest.mark.parametrize("text,position", [
+    ("x\u00b2", 1), ("x1^\u00b2", 3), ("x1^-\u0663", 3), ("x1 x\uff12", 4)],
+    ids=["superscript-index", "superscript-exponent", "arabic-indic-exponent",
+         "fullwidth-index"])
+def test_parse_accepts_only_ascii_digits(text, position):
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word(text, 2)
+    assert exc.value.position == position
+
+
 def test_render_parse_roundtrip(rng):
     for _ in range(200):
         w = random_reduced_word(rng, 3, 8)
