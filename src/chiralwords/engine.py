@@ -1,12 +1,15 @@
 """Word-map evaluation over G^d: images, fibers, and chirality verdicts.
 
 On abelian groups the word map is a homomorphism, so its fiber counts
-come in closed form from one power table, with no scan. Elsewhere the
-image computation scans one first coordinate per conjugacy class,
-weighted by the class size, since fiber counts are class functions; it
-evaluates blocks of trailing coordinates at once and skips coordinates
-the word does not read. The tables both paths read are built once per
-group (`scan_tables`). `naive_image` is the independent reference path.
+come in closed form from one power table, with no scan. On a direct
+product A x B built by `groups.direct_product` they are the outer product
+of the factors' counts, so only A^d and B^d are scanned, never (A x B)^d.
+Elsewhere the image computation scans one first coordinate per conjugacy
+class, weighted by the class size, since fiber counts are class
+functions; it evaluates blocks of trailing coordinates at once and skips
+coordinates the word does not read. The tables these paths read are built
+once per group (`scan_tables`). `naive_image` is the independent
+reference path.
 """
 
 from __future__ import annotations
@@ -155,7 +158,8 @@ SCAN_BLOCK = 256
 def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
                   budget: int) -> List[int]:
     """Exact fiber counts of w over G^arity: in closed form on abelian
-    groups, from a class-weighted scan on the rest.
+    groups, as an outer product on direct products, and from a
+    class-weighted scan (`_class_scan`) on the rest.
 
     On an abelian group (every conjugacy class a singleton) w(t) is
     prod t_i^{e_i}, where e_i is the exponent sum of x_i, so w is a
@@ -168,13 +172,51 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
     `power_table(m)` and scaling by |G|^(arity-1) gives those counts
     without a scan.
 
-    Otherwise only the coordinates the word reads are scanned; each
-    unread one multiplies every count by |G|. Conjugation by h maps the
-    tuples with first scanned coordinate r onto those with first
-    coordinate h r h^-1 and conjugates their values, so the counts are
-    class functions. The first coordinate therefore runs over one
-    representative r per conjugacy class, weighted by |class(r)|, and
-    each class's weighted total is then shared equally among its members.
+    On a nonabelian G = A x B built by `direct_product` (`g.factors`),
+    (A x B)^arity = A^arity x B^arity and w is evaluated componentwise, so
+    N_w(a, b) = N_w^A(a) * N_w^B(b): the counts are the outer product of
+    the factors' counts, each computed by this same function, and the
+    scan of G^arity becomes scans of A^arity and B^arity. The element
+    i*|B| + j of the product is the pair (i, j), which fixes the order of
+    the outer product. Abelian products take the closed form above first.
+    The budget is checked on G itself, so a product is refused exactly
+    when its scan would be.
+    """
+    _check_budget(g, arity, budget)
+    n = g.order
+    read = sorted({gen for gen, _ in w.syllables})
+    if not read:  # the identity word: every tuple maps to the identity
+        return [n ** arity] + [0] * (n - 1)
+    tables = scan_tables(g)
+    if len(tables.classes) == n:  # abelian: w is a homomorphism
+        counts = [0] * n
+        sums = dict.fromkeys(read, 0)
+        for gen, exp in w.syllables:
+            sums[gen] += exp
+        scale = n ** (arity - 1)
+        for x in tables.power_table(math.gcd(*sums.values())):
+            counts[x] += scale
+        return counts
+    if g.factors is not None:  # G = A x B: N_w(a, b) = N_w^A(a) N_w^B(b)
+        a, b = g.factors
+        counts_b = _fiber_counts(b, w, arity, budget)
+        return [x * y for x in _fiber_counts(a, w, arity, budget)
+                for y in counts_b]
+    return _class_scan(tables, w, arity, read)
+
+
+def _class_scan(tables: ScanTables, w: Word, arity: int,
+                read: List[int]) -> List[int]:
+    """Fiber counts of w over G^arity from one first coordinate per
+    conjugacy class; `read` lists the generators w reads.
+
+    Only the coordinates the word reads are scanned; each unread one
+    multiplies every count by |G|. Conjugation by h maps the tuples with
+    first scanned coordinate r onto those with first coordinate h r h^-1
+    and conjugates their values, so the counts are class functions. The
+    first coordinate therefore runs over one representative r per
+    conjugacy class, weighted by |class(r)|, and each class's weighted
+    total is then shared equally among its members.
 
     The trailing coordinates, as many as fit in SCAN_BLOCK tuples (the
     first coordinate stays outside when there are others), are covered at
@@ -183,22 +225,9 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
     the first one that reads the block give a prefix that is constant
     across it.
     """
-    _check_budget(g, arity, budget)
+    g = tables.group
     n, table = g.order, g.table
     counts = [0] * n
-    read = sorted({gen for gen, _ in w.syllables})
-    if not read:  # the identity word: every tuple maps to the identity
-        counts[0] = n ** arity
-        return counts
-    tables = scan_tables(g)
-    if len(tables.classes) == n:  # abelian: w is a homomorphism
-        sums = dict.fromkeys(read, 0)
-        for gen, exp in w.syllables:
-            sums[gen] += exp
-        scale = n ** (arity - 1)
-        for x in tables.power_table(math.gcd(*sums.values())):
-            counts[x] += scale
-        return counts
     k = len(read)
     inner = k - 1  # the block is coordinates inner..k-1
     while inner > 1 and n ** (k - inner + 1) <= SCAN_BLOCK:

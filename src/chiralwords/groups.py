@@ -59,6 +59,11 @@ class FiniteGroup:
     table: Tuple[Tuple[int, ...], ...]
     inverses: Tuple[int, ...]
     labels: Tuple[str, ...]
+    # The two factors of a group built by `direct_product`, whose element
+    # i*|B| + j is the pair (i, j); None for every other group. Equal
+    # tables compare equal whatever their factors.
+    factors: Optional[Tuple["FiniteGroup", "FiniteGroup"]] = field(
+        default=None, compare=False, repr=False)
     # Hashing the table costs O(|G|^2), and every per-group cache lookup
     # hashes the group, so the hash is computed on the first lookup and kept.
     _hash: Optional[int] = field(default=None, init=False, compare=False,
@@ -93,7 +98,9 @@ class FiniteGroup:
 
 
 def _build_group(name: str, table: Sequence[Sequence[int]],
-                 labels: Optional[Sequence[str]] = None) -> FiniteGroup:
+                 labels: Optional[Sequence[str]] = None,
+                 factors: Optional[Tuple[FiniteGroup, FiniteGroup]] = None
+                 ) -> FiniteGroup:
     """Wrap a trusted table (identity at 0) after computing inverses."""
     n = len(table)
     if labels is None:
@@ -108,7 +115,7 @@ def _build_group(name: str, table: Sequence[Sequence[int]],
             raise GroupError(f"element {a} has no inverse")
         inverses.append(inv)
     return FiniteGroup(name, n, tuple(tuple(row) for row in table),
-                       tuple(inverses), tuple(labels))
+                       tuple(inverses), tuple(labels), factors)
 
 
 @dataclass
@@ -317,7 +324,10 @@ def alternating_group(n: int) -> FiniteGroup:
     return _group_from_perms(f"A{n}", perms)
 
 
-_FAMILY_RE = re.compile(r"^([CDSA])(\d+)$")
+_FAMILY_RE = re.compile(r"^([CDSA])([0-9]+)$")
+# Longer numbers exceed every order cap and degree bound; int() of 4,300 or
+# more digits would raise a plain ValueError, so they are refused unread.
+MAX_SPEC_DIGITS = 9
 
 
 def build_family(spec: str) -> FiniteGroup:
@@ -328,7 +338,11 @@ def build_family(spec: str) -> FiniteGroup:
     m = _FAMILY_RE.match(spec)
     if not m:
         raise GroupSpecError(f"unknown group family spec {spec!r}")
-    family, n = m.group(1), int(m.group(2))
+    family, digits = m.groups()
+    if len(digits) > MAX_SPEC_DIGITS:
+        raise GroupSpecError(f"{family}<n>: n has {len(digits)} digits, "
+                             f"more than {MAX_SPEC_DIGITS}")
+    n = int(digits)
     if family == "C":
         return cyclic_group(n)
     if family == "D":
@@ -339,7 +353,8 @@ def build_family(spec: str) -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Componentwise product; pair (i, j) gets index i*|h| + j."""
+    """Componentwise product; pair (i, j) gets index i*|h| + j. The result
+    keeps (g, h) as its `factors`."""
     n = g.order * h.order
     if n > DEFAULT_ORDER_CAP:
         raise CapExceededError(
@@ -350,7 +365,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
              for i1 in range(g.order) for j1 in range(nh)]
     labels = [f"({g.labels[i]},{h.labels[j]})"
               for i in range(g.order) for j in range(nh)]
-    return _build_group(f"{g.name}x{h.name}", table, labels)
+    return _build_group(f"{g.name}x{h.name}", table, labels, (g, h))
 
 
 def from_cayley_document(doc: dict) -> FiniteGroup:
@@ -510,6 +525,8 @@ def parse_group_spec(spec: str) -> FiniteGroup:
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _built_in_group(spec: str) -> FiniteGroup:
     parts = spec.split("x")
+    if not all(part.strip() for part in parts):
+        raise GroupSpecError(f"group spec {spec!r} has an empty factor")
     group = build_family(parts[0])
     for part in parts[1:]:
         group = direct_product(group, build_family(part))

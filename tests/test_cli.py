@@ -293,3 +293,22 @@ def test_replay_names_the_line_of_an_integer_json_refuses(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 1: invalid JSON: ")
+
+
+@pytest.mark.parametrize("spec", ["C2x", "xC2", "C2xxC3", ""])
+def test_empty_product_factors_name_the_spec(capsys, spec):
+    code, out, err = run(capsys, "image", "--group", spec, "--word", "x1")
+    assert code == 2 and out == ""
+    assert err == f"error: group spec {spec!r} has an empty factor\n"
+
+
+def test_python_m_chiralwords_runs_the_cli(capsys):
+    argv = ["group", "list", "--max-order", "4"]
+    code, out, err = run(capsys, *argv)
+    src = str(Path(chiralwords.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "chiralwords", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (code, out.encode(), err.encode())
+    assert code == 0 and "C2xC2" in out

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chiralwords.cli import main
 from chiralwords.groups import (
@@ -421,3 +422,35 @@ def test_group_file_fields_of_the_wrong_type_exit_2(capsys, tmp_path, doc,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert "Traceback" not in err
+
+
+def test_long_and_non_ascii_spec_numbers_are_spec_errors():
+    with pytest.raises(GroupSpecError, match="5000 digits"):
+        parse_group_spec("C" + "1" * 5000)
+    with pytest.raises(GroupSpecError, match="unknown group family"):
+        parse_group_spec("C\uff13")  # a fullwidth 3
+
+
+SPEC_ALPHABET = "CDSAQx0123456789 @"
+# Random text from the spec alphabet is rarely a group; products of
+# family-like tokens from the same alphabet are more often.
+SPEC_TEXT = st.one_of(
+    st.text(SPEC_ALPHABET, max_size=12),
+    st.lists(st.from_regex(r" ?[CDSAQ][0-9]{1,2} ?", fullmatch=True),
+             min_size=1, max_size=3).map("x".join))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(SPEC_TEXT)
+def test_group_specs_give_a_group_or_a_group_error(spec):
+    try:
+        g = parse_group_spec(spec)
+    except GroupError:
+        return
+    groups = [g]
+    while groups:
+        h = groups.pop()
+        if h.factors is not None:
+            a, b = h.factors
+            assert a.order * b.order == h.order, spec
+            groups += [a, b]
