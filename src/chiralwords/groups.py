@@ -8,6 +8,7 @@ all live here.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -576,9 +577,11 @@ def conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
 class GroupMap:
     """Bijection of a group verified as automorphism or anti-automorphism.
 
-    The constructor checks the map's law in O(|G|^2), so it is the entry
-    point for outside data: user-given maps and enumeration results. Maps
-    derived from a checked map or from the group itself (inverses, the
+    The constructor checks the map's law in O(|G|·gens) on a generating set,
+    f(x·a) = f(x)·f(a) (anti: f(a)·f(x)) for all x and generators a: the y
+    with f(x·y) = f(x)·f(y) for all x are closed under products. It is the
+    entry point for outside data: user-given maps and enumeration results.
+    Maps derived from a checked map or from the group itself (inverses, the
     A(G) <-> AA(G) correspondence, identity and inversion) obey the law by
     construction and are built by `_derived`, which skips the check.
     """
@@ -593,16 +596,14 @@ class GroupMap:
             raise GroupError("images are not a permutation")
         if images[0] != 0:
             raise GroupError("map does not fix the identity")
-        if self.kind == AUTOMORPHISM:
-            ok = all(images[g.table[a][b]] == g.table[images[a]][images[b]]
-                     for a in g.elements() for b in g.elements())
-        elif self.kind == ANTI_AUTOMORPHISM:
-            ok = all(images[g.table[a][b]] == g.table[images[b]][images[a]]
-                     for a in g.elements() for b in g.elements())
-        else:
+        if self.kind not in (AUTOMORPHISM, ANTI_AUTOMORPHISM):
             raise GroupError(f"unknown map kind {self.kind!r}")
-        if not ok:
-            raise GroupError(f"map violates the {self.kind} law")
+        table, anti = g.table, self.kind == ANTI_AUTOMORPHISM
+        for a in _search_generators(g):
+            fa = images[a]
+            if [images[row[a]] for row in table] != [
+                    table[fa][fx] if anti else table[fx][fa] for fx in images]:
+                raise GroupError(f"map violates the {self.kind} law")
 
     @classmethod
     def _derived(cls, group: FiniteGroup, images: Tuple[int, ...],
@@ -714,6 +715,37 @@ def _closure(table: Sequence[Sequence[int]], gens: Sequence[int],
     return seen
 
 
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _profiles(g: FiniteGroup) -> Tuple[Tuple[int, int], ...]:
+    """Each element's (order, conjugacy-class size); isomorphisms keep both."""
+    size = {x: len(cls) for cls in conjugacy_classes(g) for x in cls}
+    return tuple((k, size[x]) for x, k in enumerate(element_orders(g)))
+
+
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _search_generators(g: FiniteGroup) -> Tuple[int, ...]:
+    """Generators for the image search and the law check: each is the element
+    growing <gens> most, ties going to the fewest elements of its profile,
+    then to the lowest index. An element of <gens, b>, for a b ranked before
+    it, grows <gens> no more than b and loses the tie, so it is skipped."""
+    profiles = _profiles(g)
+    counts = collections.Counter(profiles)
+    ranked = sorted(g.elements(), key=lambda a: (counts[profiles[a]], a))
+    gens: List[int] = []
+    generated = {0}
+    while len(generated) < g.order:
+        best, covered = generated, set(generated)
+        for a in ranked:
+            if a not in covered:
+                grown = _closure(g.table, gens + [a], 0)
+                covered |= grown
+                if len(grown) > len(best):
+                    best, pick = grown, a
+        gens.append(pick)
+        generated = best
+    return tuple(gens)
+
+
 def _extend_map(g: FiniteGroup, h: FiniteGroup, gens: Sequence[int],
                 images: Sequence[int]) -> Optional[dict]:
     """Grow the map <gens> -> h determined by generator images.
@@ -746,17 +778,16 @@ def _extend_map(g: FiniteGroup, h: FiniteGroup, gens: Sequence[int],
 
 
 def _image_search(g: FiniteGroup, h: FiniteGroup, first_only: bool) -> List[Tuple[int, ...]]:
-    """Backtrack over generator images; yields full bijective image arrays."""
-    gens = _greedy_generators(g.table)
-    g_orders = element_orders(g)
-    h_orders = element_orders(h)
+    """Backtrack over generator images drawn from the elements of h with
+    their profile; yields full bijective image arrays."""
+    gens = _search_generators(g)
+    g_profiles, h_profiles = _profiles(g), _profiles(h)
+    candidates = [[c for c in h.elements() if h_profiles[c] == g_profiles[a]]
+                  for a in gens]
     results: List[Tuple[int, ...]] = []
 
     def rec(i: int, chosen: List[int]) -> bool:
-        target_order = g_orders[gens[i]]
-        for c in h.elements():
-            if h_orders[c] != target_order:
-                continue
+        for c in candidates[i]:
             mapping = _extend_map(g, h, gens[: i + 1], chosen + [c])
             if mapping is None:
                 continue
@@ -823,6 +854,6 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
             f"orders {g.order}, {h.order} exceed isomorphism cap {cap}")
     if g.order != h.order:
         return False
-    if sorted(element_orders(g)) != sorted(element_orders(h)):
+    if sorted(_profiles(g)) != sorted(_profiles(h)):
         return False
     return bool(_image_search(g, h, first_only=True))

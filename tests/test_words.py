@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chiralwords.words import (
     MAX_EXPANSION,
@@ -83,6 +83,25 @@ def test_render_parse_roundtrip(rng):
         assert parse_word(render_word(w), 3) == w
     assert render_word(identity_word(2)) == "e"
     assert render_word(parse_word("x1 x3^2", 3)) == "x1*x3^2"
+
+
+# Word-text characters, and non-ASCII digits that str.isdigit accepts.
+WORD_CHARS = "x0123456789^-()* \u00b2\u0663\uff13"
+WORD_TOKENS = ["x", "x1", "x2", "x4", "^", "^-", "^2", "^-3", "*", " ", "e",
+               "(", ")", "0", "\u00b2"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.text(WORD_CHARS, max_size=16),
+                 st.lists(st.sampled_from(WORD_TOKENS), max_size=8)
+                 .map("".join)),
+       st.integers(1, 4))
+def test_word_text_gives_a_word_or_a_value_error(text, rank):
+    try:
+        w = parse_word(text, rank)
+    except ValueError:  # WordSyntaxError and its kin
+        return
+    assert isinstance(w, Word) and w.rank == rank
 
 
 # --- reduction -------------------------------------------------------------
