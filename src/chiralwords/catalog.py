@@ -6,12 +6,16 @@ from typing import List, Optional, Sequence, Tuple
 
 from .groups import FiniteGroup, parse_group_spec
 
-# Non-cyclic groups carried alongside C1..Cn. Dihedral specs use group
-# order (D6 is S3); extra abelian products cover non-cyclic abelian types.
+# Non-cyclic groups carried alongside C1..Cn, each with its order, so that
+# listing the catalog builds no group above the order asked for. Dihedral
+# specs use group order (D6 is S3); extra abelian products cover non-cyclic
+# abelian types.
 _EXTRA_SPECS = [
-    "C2xC2", "C2xC4", "C2xC6", "C2xC8", "C2xC2xC2", "C3xC3", "C4xC4",
-    "D4", "D6", "D8", "D10", "D12", "D14", "D16", "D18", "D20", "D22", "D24",
-    "Q8", "Q8xC2", "S3", "S4", "A4", "A5",
+    ("C2xC2", 4), ("C2xC4", 8), ("C2xC6", 12), ("C2xC8", 16),
+    ("C2xC2xC2", 8), ("C3xC3", 9), ("C4xC4", 16),
+    ("D4", 4), ("D6", 6), ("D8", 8), ("D10", 10), ("D12", 12), ("D14", 14),
+    ("D16", 16), ("D18", 18), ("D20", 20), ("D22", 22), ("D24", 24),
+    ("Q8", 8), ("Q8xC2", 16), ("S3", 6), ("S4", 24), ("A4", 12), ("A5", 60),
 ]
 
 MAX_CYCLIC = 32
@@ -26,10 +30,8 @@ def catalog_specs(max_order: int,
     specs: List[Tuple[int, str]] = []
     for n in range(1, min(max_order, MAX_CYCLIC) + 1):
         specs.append((n, f"C{n}"))
-    for spec in _EXTRA_SPECS:
-        g = parse_group_spec(spec)
-        if g.order <= max_order:
-            specs.append((g.order, spec))
+    specs += [(order, spec) for spec, order in _EXTRA_SPECS
+              if order <= max_order]
     specs.sort()
     out = [s for _, s in specs]
     if families is not None:

@@ -24,6 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .groups import (
     ANTI_AUTOMORPHISM,
     GROUP_CACHE_SIZE,
+    AllGammas,
     FiniteGroup,
     Gamma,
     GroupError,
@@ -381,6 +382,13 @@ def weak_verdict_from_counts(g: FiniteGroup, counts: Sequence[int],
     return None
 
 
+def orbit_constant(counts: Sequence[int],
+                   orbit_minima: Sequence[int]) -> bool:
+    """Whether counts[x] = counts[m(x)] for every x, where m(x) is the least
+    element of x's Aut(G)-orbit (`automorphism_orbit_minima`)."""
+    return all(counts[x] == counts[m] for x, m in enumerate(orbit_minima))
+
+
 class GammaVerdict(NamedTuple):
     """The verdicts of one pair under one anti-automorphism gamma."""
 
@@ -407,12 +415,18 @@ class PairVerdicts(NamedTuple):
     def against(self, gammas: Sequence[Gamma]) -> List[GammaVerdict]:
         """The per-gamma verdicts, from the image and fibers already held.
 
-        gamma(G_w) and the twisted fiber counts are both pulled back through
-        gamma^-1 (`Gamma.pull`); the witness search runs only for a gamma
-        whose twisted counts differ.
+        For all of AA(G) (`gamma_data`) with fiber counts constant on the
+        Aut(G)-orbits, every gamma = zeta o inversion pulls the counts
+        back to inversion's pull-back, so each verdict is inversion's.
+        Otherwise gamma(G_w) and the twisted fiber counts are both pulled
+        back through gamma^-1 (`Gamma.pull`); the witness search runs only
+        for a gamma whose twisted counts differ.
         """
         g, members = self.image.group, self.image.members
         counts = self.fibers.counts
+        if (isinstance(gammas, AllGammas)
+                and orbit_constant(counts, gammas.orbit_minima)):
+            return [GammaVerdict(self.chiral, self.weak_witness)] * len(gammas)
         return [GammaVerdict(
             chiral=gamma.pull(members) != members,
             weak_witness=None if gamma.pull(counts) == counts

@@ -179,6 +179,17 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupValidation:
             if add(f"element {a} has no two-sided inverse"):
                 return report
     gens = _greedy_generators(table, identity)
+    # Over all b at once: (ab)c = col_c[row_a[b]] and a(bc) = row_a[col_c[b]],
+    # each gathered in C. Only a failing table pays for the loop below,
+    # which names each violation.
+    cols = [tuple(row[c] for row in table) for c in gens]
+    at_cols = [(col, operator.itemgetter(*col)) for col in cols]
+    for row_a in table:
+        at_row = operator.itemgetter(*row_a)
+        if any(at_row(col) != at_col(row_a) for col, at_col in at_cols):
+            break
+    else:
+        return report
     for a in range(n):
         row_a = table[a]
         for b in range(n):
@@ -592,7 +603,12 @@ class GroupMap:
 
     def __post_init__(self):
         g, images = self.group, self.images
-        if sorted(images) != list(g.elements()):
+        try:  # n entries that cover all n elements: a permutation
+            bijective = (len(images) == g.order
+                         and set(images).issuperset(g.elements()))
+        except TypeError:  # an unhashable entry is no element
+            bijective = False
+        if not bijective:
             raise GroupError("images are not a permutation")
         if images[0] != 0:
             raise GroupError("map does not fix the identity")
@@ -646,7 +662,7 @@ def anti_from_auto(zeta: GroupMap) -> GroupMap:
     if zeta.kind != AUTOMORPHISM:
         raise GroupError("expected an automorphism")
     g = zeta.group
-    images = tuple(zeta.images[g.inv(x)] for x in g.elements())
+    images = tuple(map(zeta.images.__getitem__, g.inverses))
     return GroupMap._derived(g, images, ANTI_AUTOMORPHISM)
 
 
@@ -655,7 +671,7 @@ def auto_from_anti(gamma: GroupMap) -> GroupMap:
     if gamma.kind != ANTI_AUTOMORPHISM:
         raise GroupError("expected an anti-automorphism")
     g = gamma.group
-    images = tuple(gamma.images[g.inv(x)] for x in g.elements())
+    images = tuple(map(gamma.images.__getitem__, g.inverses))
     return GroupMap._derived(g, images, AUTOMORPHISM)
 
 
@@ -837,14 +853,25 @@ def automorphism_orbit_minima(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP
     return tuple(map(min, zip(*(zeta.images for zeta in autos))))
 
 
+class AllGammas(tuple):
+    """Every anti-automorphism of a group, as `gamma_data` builds them,
+    carrying `orbit_minima`, the group's `automorphism_orbit_minima`.
+
+    Only `gamma_data` makes one: any other sequence of gammas, even one
+    built from these, is a plain tuple or list."""
+
+    orbit_minima: Tuple[int, ...]
+
+
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
-def gamma_data(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP
-               ) -> Tuple[Gamma, ...]:
+def gamma_data(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP) -> AllGammas:
     """Each anti-automorphism of g, in enumeration order, with its inverse
     image array and pull-back: the per-group data every gamma verdict
     reads."""
-    return tuple(with_inverse(gamma)
-                 for gamma in enumerate_anti_automorphisms(g, cap))
+    gammas = AllGammas(with_inverse(gamma)
+                       for gamma in enumerate_anti_automorphisms(g, cap))
+    gammas.orbit_minima = automorphism_orbit_minima(g, cap)
+    return gammas
 
 
 def is_isomorphic(g: FiniteGroup, h: FiniteGroup,

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import catalog_groups
-from .engine import DEFAULT_BUDGET, BudgetExceededError, pair_verdicts
+from .engine import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    orbit_constant,
+    pair_verdicts,
+)
 from .groups import (
     DEFAULT_AUTO_CAP,
     CapExceededError,
@@ -90,8 +95,7 @@ def _scan_pair(spec: str, g: FiniteGroup, w: Word, auto_cap: int,
     except CapExceededError:  # Aut(G) not enumerated: agreement unknown
         gammas_agree = None
     else:
-        counts = v.fibers.counts
-        gammas_agree = all(counts[x] == counts[r] for x, r in enumerate(rep))
+        gammas_agree = orbit_constant(v.fibers.counts, rep)
     return Finding(
         group_spec=spec, group_order=g.order, word_text=render_word(w),
         arity=d, chiral=v.chiral, weakly_chiral=v.weakly_chiral,

@@ -40,8 +40,7 @@ from .words import (
     FreeGroupEndo,
     Word,
     apply_anti,
-    canonical_form,
-    enumerate_words,
+    canonical_words,
     invert,
     random_automorphism,
     render_word,
@@ -107,12 +106,6 @@ def derived_seed(seed: int, *parts) -> int:
     """Stable sub-seed derived from a base seed and string-able parts."""
     text = ":".join([str(seed), *map(str, parts)])
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
-def canonical_words(rank: int, max_len: int) -> List[Word]:
-    """Canonical orbit representatives, in enumeration order."""
-    return [w for w in enumerate_words(rank, max_len)
-            if canonical_form(w) == w]
 
 
 def _sampled_autos(bounds: Bounds, label: str, w: Word,

@@ -8,7 +8,6 @@ generator. Generators are indexed 1..rank. All values here are immutable.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
@@ -334,12 +333,35 @@ def _letter_index(gen: int, sign: int) -> int:
     return (gen - 1) * 2 + (0 if sign > 0 else 1)
 
 
-def _letter_from_index(idx: int) -> Tuple[int, int]:
-    return idx // 2 + 1, 1 if idx % 2 == 0 else -1
+def _word_from_indices(indices: Sequence[int], rank: int) -> Word:
+    return reduce_syllables([(i // 2 + 1, 1 if i % 2 == 0 else -1)
+                             for i in indices], rank)
 
 
-def _word_from_letters(letters: Sequence[Tuple[int, int]], rank: int) -> Word:
-    return reduce_syllables([(g, s) for g, s in letters], rank)
+def _reduced_sequences(rank: int, length: int,
+                       normal: bool) -> Iterator[Tuple[int, ...]]:
+    """Letter indices of every reduced word of one length, in lex order.
+
+    With `normal`, only the words in normal form (`_normal_form`): each
+    generator first appears as the next unused x_k, with exponent +1.
+    """
+    seq: list[int] = []
+    top = 2 * rank
+
+    def rec(remaining: int, fresh: int) -> Iterator[Tuple[int, ...]]:
+        # Letters below 2*fresh belong to generators already used, and
+        # 2*fresh is the next unused generator, positive.
+        if remaining == 0:
+            yield tuple(seq)
+            return
+        for letter in range(min(2 * fresh + 1, top) if normal else top):
+            if seq and seq[-1] ^ 1 == letter:
+                continue  # would cancel with the previous letter
+            seq.append(letter)
+            yield from rec(remaining - 1, max(fresh, letter // 2 + 1))
+            seq.pop()
+
+    return rec(length, 0)
 
 
 def enumerate_words(rank: int, max_len: int) -> Iterator[Word]:
@@ -350,27 +372,32 @@ def enumerate_words(rank: int, max_len: int) -> Iterator[Word]:
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    yield identity_word(rank)
-    num_letters = 2 * rank
-    seq: list[int] = []
-
-    def rec(remaining: int) -> Iterator[Word]:
-        if remaining == 0:
-            yield _word_from_letters([_letter_from_index(i) for i in seq], rank)
-            return
-        for letter in range(num_letters):
-            if seq and seq[-1] ^ 1 == letter:
-                continue  # would cancel with the previous letter
-            seq.append(letter)
-            yield from rec(remaining - 1)
-            seq.pop()
-
-    for length in range(1, max_len + 1):
-        yield from rec(length)
+    for length in range(max_len + 1):
+        for indices in _reduced_sequences(rank, length, normal=False):
+            yield _word_from_indices(indices, rank)
 
 
-def _enumeration_key(letters: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
-    return (len(letters), tuple(letters))
+def _normal_form(indices: Sequence[int]) -> Tuple[int, ...]:
+    """The least image of a word's letters under signed generator
+    permutations: generators relabelled x1, x2, ... in order of first
+    appearance, each signed so that it first appears with exponent +1.
+
+    At a generator's first appearance every letter before it is already
+    fixed, and no image of it is smaller than the next unused x_k, so this
+    greedy choice is the lexicographic minimum.
+    """
+    relabel: dict[int, int] = {}
+    out = []
+    for i in indices:
+        # A generator's new index with its first sign folded in, so that
+        # xor with a letter's sign bit gives the relabelled letter.
+        base = relabel.setdefault(i >> 1, 2 * len(relabel) | (i & 1))
+        out.append(base ^ (i & 1))
+    return tuple(out)
+
+
+def _inverse_indices(indices: Sequence[int]) -> list[int]:
+    return [i ^ 1 for i in reversed(indices)]
 
 
 def canonical_form(w: Word) -> Word:
@@ -379,22 +406,26 @@ def canonical_form(w: Word) -> Word:
     The orbit group is the finite subgroup of Aut(F_d) that permutes
     generators and inverts them, together with inversion of the whole word.
     Orbit-mates have identical chirality behavior, so this is a sound dedup
-    key for searches. Raises ValueError, as `Word.letters` does, for a word
-    longer than MAX_EXPANSION letters.
+    key for searches. The least member is the smaller normal form
+    (`_normal_form`) of w and of w^-1. Raises ValueError, as `Word.letters`
+    does, for a word longer than MAX_EXPANSION letters.
     """
-    d = w.rank
-    letters = [_letter_index(g, s) for g, s in w.letters()]
-    reversed_neg = [idx ^ 1 for idx in reversed(letters)]  # letters of w^-1
-    best: Optional[Tuple[int, Tuple[int, ...]]] = None
-    for perm in itertools.permutations(range(d)):
-        for signs in itertools.product((0, 1), repeat=d):
-            for base in (letters, reversed_neg):
-                mapped = tuple(
-                    perm[idx // 2] * 2 + ((idx % 2) ^ signs[idx // 2])
-                    for idx in base
-                )
-                key = _enumeration_key(mapped)
-                if best is None or key < best:
-                    best = key
-    assert best is not None
-    return _word_from_letters([_letter_from_index(i) for i in best[1]], d)
+    indices = [_letter_index(g, s) for g, s in w.letters()]
+    return _word_from_indices(min(_normal_form(indices),
+                                  _normal_form(_inverse_indices(indices))),
+                              w.rank)
+
+
+def canonical_words(rank: int, max_len: int) -> list[Word]:
+    """Canonical orbit representatives, the words w == canonical_form(w) of
+    length <= max_len, in `enumerate_words` order.
+
+    Only words in normal form are built, and one is kept when it is no
+    larger than the normal form of its inverse.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    return [_word_from_indices(indices, rank)
+            for length in range(max_len + 1)
+            for indices in _reduced_sequences(rank, length, normal=True)
+            if indices <= _normal_form(_inverse_indices(indices))]

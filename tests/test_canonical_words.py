@@ -1,0 +1,73 @@
+"""Canonical words from the greedy normal form, against a brute-force
+oracle that tries every signed generator permutation of w and of w^-1.
+
+`canonical_form` must equal the oracle on every reduced word of rank <= 3
+and length <= 5, and of rank 4 and length <= 4; `canonical_words` must be
+exactly the oracle's fixed points among `enumerate_words`, in order.
+"""
+
+import functools
+import itertools
+
+import pytest
+
+from chiralwords.verify import canonical_words
+from chiralwords.words import (
+    Word,
+    canonical_form,
+    enumerate_words,
+    reduce_syllables,
+)
+
+BOUNDS = {1: 6, 2: 5, 3: 5, 4: 4}
+
+
+@functools.lru_cache(maxsize=None)
+def relabellings(d: int):
+    """Every signed generator permutation of F_d as a table from letter
+    index to letter index, under x1 < x1^-1 < x2 < x2^-1 < ..."""
+    return [tuple(perm[idx // 2] * 2 + ((idx % 2) ^ signs[idx // 2])
+                  for idx in range(2 * d))
+            for perm in itertools.permutations(range(d))
+            for signs in itertools.product((0, 1), repeat=d)]
+
+
+def oracle_canonical_form(w: Word) -> Word:
+    """The least letter tuple over all d!·2^d relabellings of w and w^-1."""
+    d = w.rank
+    letters = [(g - 1) * 2 + (s < 0) for g, s in w.letters()]
+    reversed_neg = [idx ^ 1 for idx in reversed(letters)]  # letters of w^-1
+    best = min(tuple(map(table.__getitem__, base))
+               for table in relabellings(d)
+               for base in (letters, reversed_neg))
+    return reduce_syllables([(i // 2 + 1, -1 if i % 2 else 1)
+                             for i in best], d)
+
+
+@pytest.fixture(scope="module")
+def oracle_words():
+    """rank -> [(word, its oracle canonical form)] for every word up to the
+    rank's length bound, in enumeration order."""
+    return {rank: [(w, oracle_canonical_form(w))
+                   for w in enumerate_words(rank, max_len)]
+            for rank, max_len in BOUNDS.items()}
+
+
+@pytest.mark.parametrize("rank", sorted(BOUNDS))
+def test_canonical_form_matches_the_oracle(rank, oracle_words):
+    for w, expected in oracle_words[rank]:
+        assert canonical_form(w) == expected, w
+
+
+@pytest.mark.parametrize("rank", sorted(BOUNDS))
+def test_canonical_words_are_the_oracle_fixed_points_in_order(
+        rank, oracle_words):
+    for max_len in range(BOUNDS[rank] + 1):
+        expected = [w for w, canon in oracle_words[rank]
+                    if canon == w and w.length <= max_len]
+        assert canonical_words(rank, max_len) == expected, max_len
+
+
+def test_negative_max_len_raises():
+    with pytest.raises(ValueError, match="max_len must be nonnegative"):
+        canonical_words(2, -1)

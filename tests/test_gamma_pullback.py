@@ -1,12 +1,13 @@
 """Per-gamma verdicts read through the pull-back gather of gamma^-1, and
 the Aut(G)-orbit check that certifies a finding's `gammas_agree`.
 
-`PairVerdicts.against` compares pulled tuples; here it must equal a
-reference built the direct way, from `map_set` and
-`weak_verdict_from_counts`. `_scan_pair(...).gammas_agree` must equal the
-per-gamma rule (every gamma in AA(G) gives inversion's chiral and weak
-verdicts and maps G_w onto (G_w)^-1) on the small catalog, and must fail on
-constructed fibers that break Aut(G)-invariance.
+`PairVerdicts.against` compares pulled tuples, or, given all of AA(G)
+and fibers constant on the Aut(G)-orbits, repeats inversion's verdicts;
+either way it must equal a reference built the direct way, from `map_set`
+and `weak_verdict_from_counts`. `_scan_pair(...).gammas_agree` must equal
+the per-gamma rule (every gamma in AA(G) gives inversion's chiral and weak
+verdicts and maps G_w onto (G_w)^-1) on the small catalog, and must fail
+on constructed fibers that break Aut(G)-invariance.
 """
 
 import pytest
@@ -19,11 +20,13 @@ from chiralwords.engine import (
     WordImage,
     invert_set,
     map_set,
+    orbit_constant,
     pair_verdicts,
     weak_verdict_from_counts,
 )
 from chiralwords.groups import (
     ANTI_AUTOMORPHISM,
+    AllGammas,
     GroupMap,
     automorphism_orbit_minima,
     build_family,
@@ -103,6 +106,29 @@ def test_pullback_matches_direct_verdicts_on_the_catalog(spec):
         assert finding.gammas_agree is per_gamma_rule(v, gammas) is True
 
 
+@pytest.mark.parametrize("spec", ["S4", "Q8xC2", "A5"])
+def test_all_gammas_on_orbit_constant_fibers_need_no_pull(spec,
+                                                          monkeypatch):
+    # A real word's fibers are constant on the Aut(G)-orbits (Lemma 1), so
+    # against all of AA(G) every verdict is inversion's, taken without
+    # pulling anything back through any gamma.
+    g = parse_group_spec(spec)
+    gammas = gamma_data(g)
+    assert isinstance(gammas, AllGammas)
+    assert gammas.orbit_minima == automorphism_orbit_minima(g)
+
+    def no_pull(seq):
+        raise AssertionError("pulled back through a gamma")
+
+    for gamma in gammas:
+        monkeypatch.setattr(gamma, "pull", no_pull)
+    for text in WORDS:
+        v = pair_verdicts(g, parse_word(text, 2), 2)
+        assert orbit_constant(v.fibers.counts, gammas.orbit_minima)
+        assert check(v, gammas) == [
+            GammaVerdict(v.chiral, v.weak_witness)] * len(gammas)
+
+
 @pytest.mark.parametrize("spec", ["C1", "C2"])
 def test_single_and_two_element_gathers_return_tuples(spec):
     g = build_family(spec)
@@ -120,6 +146,10 @@ def test_positive_fibers_run_the_disagreeing_branches(monkeypatch):
     assert v.chiral and v.weakly_chiral
     gammas = gamma_data(g)
     assert [gamma.images for gamma, _ in gammas] == [(0, 2, 1), (0, 1, 2)]
+    # All of AA(C3), but the fibers are not orbit-constant, so each gamma
+    # is pulled back on its own.
+    assert isinstance(gammas, AllGammas)
+    assert not orbit_constant(v.fibers.counts, gammas.orbit_minima)
     inv, ident = check(v, gammas)
     assert inv == GammaVerdict(True, 1)
     assert ident == GammaVerdict(False, None)

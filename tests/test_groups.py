@@ -14,6 +14,7 @@ from chiralwords.groups import (
     GroupError,
     GroupMap,
     GroupSpecError,
+    _greedy_generators,
     anti_from_auto,
     auto_from_anti,
     build_family,
@@ -21,6 +22,7 @@ from chiralwords.groups import (
     element_orders,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
+    find_identity,
     from_cayley_document,
     from_permutation_generators,
     identity_map,
@@ -402,6 +404,32 @@ def test_light_associativity_test_matches_full_check(spec):
     # Groups, tables failing the basic checks, and Latin squares with an
     # identity and inverses that only associativity rejects all occur.
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def reference_violations(table):
+    """validate_group's associativity messages by the plain triple loop over
+    (a, b, c in its generators), at most 10, for a table that passes every
+    other check."""
+    gens = _greedy_generators(table, find_identity(table))
+    return [f"associativity fails at ({a},{b},{c})"
+            for a in range(len(table)) for b in range(len(table))
+            for c in gens
+            if table[table[a][b]][c] != table[a][table[b][c]]][:10]
+
+
+@pytest.mark.parametrize("spec", ["C8", "S3", "Q8"])
+def test_associativity_violations_are_named_as_by_the_loop(spec):
+    rng = random.Random(f"named:{spec}")
+    failing = [NONASSOC_LOOP]
+    for table in corrupted_tables(spec, rng, 60):
+        report = validate_group(table)
+        if report.violations and report.violations[0].startswith(
+                "associativity"):
+            failing.append(table)
+    assert len(failing) > 5
+    for table in failing:
+        assert validate_group(table).violations == \
+            reference_violations(table)
 
 
 @pytest.mark.parametrize("doc, field", [

@@ -74,6 +74,19 @@ def test_bad_user_maps_raise():
         auto_from_anti(identity_map(g))
 
 
+@pytest.mark.parametrize("images", [
+    (0, 1, 2, 3, 4, 5, 5), (0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4),
+    (0, 1, 2, 3, 4, 6), (0, 1, 2, 3, 4, -1), (0, 1, 2, 3, 4, 5.5),
+    (0, 5, 2, 3, 4, 5), (), ("0", "1", "2", "3", "4", "5"),
+    ([0], [1], [2], [3], [4], [5]),
+])
+def test_images_that_are_no_permutation_are_named(images):
+    # Entries must be n elements covering all of G, so a longer array
+    # that covers G is refused like a shorter one, before any law check.
+    with pytest.raises(GroupError, match="images are not a permutation"):
+        GroupMap(build_family("S3"), images, AUTOMORPHISM)
+
+
 def test_law_checked_once_per_distinct_map(monkeypatch):
     for cached in (enumerate_automorphisms, enumerate_anti_automorphisms,
                    gamma_data, automorphism_orbit_minima):

@@ -1,9 +1,9 @@
 import pytest
 
-from chiralwords import reports, verify
+from chiralwords import catalog, reports, verify
 from chiralwords.catalog import catalog_specs
 from chiralwords.engine import naive_image
-from chiralwords.groups import build_family
+from chiralwords.groups import build_family, parse_group_spec
 from chiralwords.verify import (
     Bounds,
     canonical_words,
@@ -34,6 +34,19 @@ def test_catalog_contents():
         assert spec in specs
     assert "S4" not in specs  # order 24 > 16
     assert catalog_specs(6, families=["S"]) == ["S3"]
+
+
+def test_catalog_records_each_extra_order(monkeypatch):
+    for spec, order in catalog._EXTRA_SPECS:
+        assert parse_group_spec(spec).order == order, spec
+    expected = catalog_specs(60)
+
+    def no_build(spec):
+        raise AssertionError(f"built {spec} to list the catalog")
+
+    monkeypatch.setattr(catalog, "parse_group_spec", no_build)
+    assert catalog_specs(60) == expected
+    assert "A5" in expected and "A5" not in catalog_specs(59)
 
 
 def test_canonical_words_are_canonical_and_deduped():
