@@ -4,12 +4,13 @@ On abelian groups the word map is a homomorphism, so its fiber counts
 come in closed form from one power table, with no scan. On a direct
 product A x B built by `groups.direct_product` they are the outer product
 of the factors' counts, so only A^d and B^d are scanned, never (A x B)^d.
-Elsewhere the image computation scans one first coordinate per conjugacy
-class, weighted by the class size, since fiber counts are class
-functions; it evaluates blocks of trailing coordinates at once and skips
-coordinates the word does not read. The tables these paths read are built
-once per group (`scan_tables`). `naive_image` is the independent
-reference path.
+Elsewhere they come from one tuple per coset of A^d for an abelian normal
+subgroup A (`_normal_scan`: dihedral groups, Q8), or, where a cost
+estimate says that is dearer, from one first coordinate per conjugacy
+class, weighted by the class size, since fiber counts are class functions
+(`_class_scan`). Both skip coordinates the word does not read and evaluate
+blocks of tuples at once. The tables these paths read are built once per
+group (`scan_tables`). `naive_image` is the independent reference path.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .groups import (
     Gamma,
     GroupError,
     GroupMap,
+    _closure,
     conjugacy_classes,
     element_orders,
 )
@@ -118,6 +120,16 @@ def _check_budget(g: FiniteGroup, arity: int, budget: int) -> int:
     return total
 
 
+class AbelianNormal(NamedTuple):
+    """An abelian normal subgroup A of a group, with generators `gens`, the
+    membership mask `in_a` and a transversal: one element per coset A t."""
+
+    members: Tuple[int, ...]
+    gens: Tuple[int, ...]
+    in_a: Tuple[bool, ...]
+    transversal: Tuple[int, ...]
+
+
 class ScanTables:
     """The per-group data every scan of g reads, built once per group.
 
@@ -126,7 +138,9 @@ class ScanTables:
     tables are memoized by the exponent reduced mod exp(G), the lcm of the
     element orders, since a^exp(G) = e for every a; so at most exp(G) <=
     |G| of them are ever held. Every scan of g shares these, so the tables
-    are tuples.
+    are tuples. `normal`, the tuple blocks of `_normal_scan` (by number of
+    coordinates) and its subgroups of A (by generator set, at most
+    SUBGROUP_CACHE_SIZE) are built on first use.
     """
 
     def __init__(self, g: FiniteGroup):
@@ -136,6 +150,8 @@ class ScanTables:
         self.class_size = {cls[0]: len(cls) for cls in self.classes}
         self.exponent = math.lcm(*element_orders(g))
         self.powers: Dict[int, Tuple[int, ...]] = {}
+        self.blocks: Dict[int, List[Tuple[int, ...]]] = {}
+        self.subgroups: Dict[frozenset, Tuple[int, ...]] = {}
 
     def power_table(self, exp: int) -> Tuple[int, ...]:
         """a^exp for every element a."""
@@ -146,6 +162,42 @@ class ScanTables:
             pows = self.powers[k] = tuple(g.power(a, k) for a in g.elements())
         return pows
 
+    @functools.cached_property
+    def normal(self) -> AbelianNormal:
+        """An abelian normal subgroup grown greedily from the conjugacy
+        classes, smallest first (so it holds the centre): a subgroup made
+        of whole classes is normal, so a class joins when it commutes with
+        A and with itself."""
+        g, table = self.group, self.group.table
+        members, grown = {0}, []
+        for cls in sorted(self.classes, key=len):
+            if cls[0] not in members and all(
+                    table[x][y] == table[y][x]
+                    for x in cls for y in grown + list(cls)):
+                grown += cls
+                members = _closure(table, grown, 0)
+        orders = element_orders(g)
+        gens, span = [], {0}
+        for x in sorted(members, key=lambda x: (-orders[x], x)):
+            if x not in span:
+                gens.append(x)
+                span = _closure(table, gens, 0)
+        return AbelianNormal(  # T: the least element of each coset A x
+            tuple(sorted(members)), tuple(gens),
+            tuple(x in members for x in g.elements()),
+            tuple(x for x in g.elements()
+                  if min(table[a][x] for a in members) == x))
+
+    def normal_wins(self, k: int) -> bool:
+        """Whether `_normal_scan` beats `_class_scan` on k coordinates, by
+        their cost in word evaluations: |T|^k (1 + k gens(A)) against
+        k(G) |G|^(k-1). Timed on S3, Q8, D16, D24, A4 and S4, the first
+        loses at index above 3 (S4) and near a cost ratio of 1 (A4 at
+        k = 2), whence the bound and NORMAL_COST."""
+        t, gens = len(self.normal.transversal), len(self.normal.gens)
+        return t <= 3 and (NORMAL_COST * t ** k * (1 + k * gens)
+                           < len(self.classes) * self.group.order ** (k - 1))
+
 
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def scan_tables(g: FiniteGroup) -> ScanTables:
@@ -154,13 +206,18 @@ def scan_tables(g: FiniteGroup) -> ScanTables:
 
 # The most tuples of the trailing coordinates that one scan step covers.
 SCAN_BLOCK = 256
+# How many class-scan steps one word evaluation of `_normal_scan` costs.
+NORMAL_COST = 1.25
+# The most generator sets whose subgroup of A one group keeps.
+SUBGROUP_CACHE_SIZE = 1024
 
 
 def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
                   budget: int) -> List[int]:
     """Exact fiber counts of w over G^arity: in closed form on abelian
-    groups, as an outer product on direct products, and from a
-    class-weighted scan (`_class_scan`) on the rest.
+    groups, as an outer product on direct products, and on the rest from
+    a scan over an abelian normal subgroup (`_normal_scan`) or a
+    class-weighted scan (`_class_scan`), whichever `normal_wins` picks.
 
     On an abelian group (every conjugacy class a singleton) w(t) is
     prod t_i^{e_i}, where e_i is the exponent sum of x_i, so w is a
@@ -181,7 +238,8 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
     i*|B| + j of the product is the pair (i, j), which fixes the order of
     the outer product. Abelian products take the closed form above first.
     The budget is checked on G itself, so a product is refused exactly
-    when its scan would be.
+    when its scan would be, and it is checked before either scan runs.
+    A coordinate the word does not read multiplies every count by |G|.
     """
     _check_budget(g, arity, budget)
     n = g.order
@@ -203,21 +261,77 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
         counts_b = _fiber_counts(b, w, arity, budget)
         return [x * y for x in _fiber_counts(a, w, arity, budget)
                 for y in counts_b]
-    return _class_scan(tables, w, arity, read)
+    k = len(read)
+    scan = _normal_scan if tables.normal_wins(k) else _class_scan
+    counts = scan(tables, w, read)
+    if arity > k:
+        scale = n ** (arity - k)
+        counts = [c * scale for c in counts]
+    return counts
 
 
-def _class_scan(tables: ScanTables, w: Word, arity: int,
-                read: List[int]) -> List[int]:
-    """Fiber counts of w over G^arity from one first coordinate per
-    conjugacy class; `read` lists the generators w reads.
+def _normal_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
+    """Fiber counts of w over G^k, k = len(read), from one tuple per coset
+    of A^k, for A = `tables.normal` abelian and normal in G.
 
-    Only the coordinates the word reads are scanned; each unread one
-    multiplies every count by |G|. Conjugation by h maps the tuples with
-    first scanned coordinate r onto those with first coordinate h r h^-1
-    and conjugates their values, so the counts are class functions. The
-    first coordinate therefore runs over one representative r per
-    conjugacy class, weighted by |class(r)|, and each class's weighted
-    total is then shared equally among its members.
+    Write t_i = a_i s_i with a_i in A and s_i in the transversal T. Moving
+    each a_i to the left conjugates it by elements that depend only on s,
+    and conjugation acts on A by automorphisms, so w(t) = phi_s(a) w(s)
+    for a homomorphism phi_s: A^k -> A. Its image H_s is generated by the
+    k gens(A) values w(s with s_i -> a s_i) w(s)^-1, and each element of
+    H_s w(s) has |A|^k / |H_s| preimages in the coset. The block holds,
+    per s in T^k, s and those k gens(A) neighbours; all are evaluated at
+    once, one list comprehension per syllable, and the H_s closures are
+    kept per group by generator set, since few subgroups of A recur.
+    """
+    g, table, cols = tables.group, tables.group.table, tables.cols
+    a_group = tables.normal
+    k = len(read)
+    block = tables.blocks.get(k)
+    if block is None:
+        rows = []
+        for s in product(a_group.transversal, repeat=k):
+            rows.append(s)
+            rows += [s[:i] + (table[a][s[i]],) + s[i + 1:]
+                     for i in range(k) for a in a_group.gens]
+        block = tables.blocks[k] = list(zip(*rows))
+    slot = {gen: i for i, gen in enumerate(read)}
+    (gen, exp), *rest = w.syllables
+    pows = tables.power_table(exp)
+    vals = [pows[x] for x in block[slot[gen]]]
+    for gen, exp in rest:
+        pows = tables.power_table(exp)
+        vals = [table[v][pows[x]] for v, x in zip(vals, block[slot[gen]])]
+    counts = [0] * g.order
+    whole = len(a_group.members) ** k
+    subgroups, inverses = tables.subgroups, g.inverses
+    stride = 1 + k * len(a_group.gens)
+    for j in range(0, len(vals), stride):
+        ws = vals[j]
+        key = frozenset(map(cols[inverses[ws]].__getitem__,
+                            vals[j + 1:j + stride]))
+        h = subgroups.get(key)
+        if h is None:
+            assert all(a_group.in_a[x] for x in key), "phi_s maps into A"
+            if len(subgroups) >= SUBGROUP_CACHE_SIZE:
+                subgroups.clear()
+            h = subgroups[key] = tuple(_closure(table, list(key), 0))
+            assert whole % len(h) == 0, "|H_s| divides |A|^k"
+        share, col = whole // len(h), cols[ws]
+        for x in h:
+            counts[col[x]] += share
+    return counts
+
+
+def _class_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
+    """Fiber counts of w over G^k, k = len(read), from one first
+    coordinate per conjugacy class.
+
+    Conjugation by h maps the tuples with first coordinate r onto those
+    with first coordinate h r h^-1 and conjugates their values, so the
+    counts are class functions. The first coordinate therefore runs over
+    one representative r per conjugacy class, weighted by |class(r)|, and
+    each class's weighted total is then shared equally among its members.
 
     The trailing coordinates, as many as fit in SCAN_BLOCK tuples (the
     first coordinate stays outside when there are others), are covered at
@@ -271,9 +385,6 @@ def _class_scan(tables: ScanTables, w: Word, arity: int,
             assert not rest, "fiber counts are class functions"
             for x in cls:
                 counts[x] = share
-    if arity > k:
-        scale = n ** (arity - k)
-        counts = [c * scale for c in counts]
     return counts
 
 

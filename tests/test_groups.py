@@ -432,6 +432,33 @@ def test_associativity_violations_are_named_as_by_the_loop(spec):
             reference_violations(table)
 
 
+def reference_entry_violation(table):
+    """The first bad entry's message, by the plain loop over every entry."""
+    n = len(table)
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool):
+                return f"entry table[{a}][{b}] = {v!r} is not an integer"
+            if not 0 <= v < n:
+                return f"entry table[{a}][{b}] = {v!r} out of range 0..{n - 1}"
+    return None
+
+
+@pytest.mark.parametrize("spec", ["C8", "S3", "Q8"])
+def test_bad_entries_are_named_as_by_the_loop(spec):
+    rng = random.Random(f"entries:{spec}")
+    g = build_family(spec)
+    n = g.order
+    for bad in (True, False, 1.0, 2.5, "1", -1, n, 10 ** 30):
+        for _ in range(4):
+            table = [list(row) for row in g.table]
+            for _ in range(rng.randint(1, 3)):
+                table[rng.randrange(n)][rng.randrange(n)] = bad
+            expected = reference_entry_violation(table)
+            assert expected is not None
+            assert validate_group(table).violations == [expected], bad
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"perm-gens": 5}, "perm-gens"),
     ({"perm-gens": [[1, "a"]]}, "perm-gens"),

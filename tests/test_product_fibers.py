@@ -32,15 +32,15 @@ WORDS = [(w, rank) for rank, max_len in ((1, 4), (2, 4))
 
 @pytest.fixture
 def scanned_orders(monkeypatch):
-    """The order of every group `engine._class_scan` runs on."""
+    """The order of every group a whole-group scan runs on: the class scan
+    or the scan over an abelian normal subgroup."""
     orders = []
-    scan = engine._class_scan
+    for name in ("_class_scan", "_normal_scan"):
+        def spy(tables, *args, scan=getattr(engine, name)):
+            orders.append(tables.group.order)
+            return scan(tables, *args)
 
-    def spy(tables, *args):
-        orders.append(tables.group.order)
-        return scan(tables, *args)
-
-    monkeypatch.setattr(engine, "_class_scan", spy)
+        monkeypatch.setattr(engine, name, spy)
     return orders
 
 
@@ -76,6 +76,16 @@ def test_product_scans_only_its_factors(scanned_orders):
     _, scanned = image(whole, w, 3, want_fibers=True)
     assert scanned_orders == [24, 48]
     assert fibers == scanned
+
+
+def test_scans_over_an_abelian_normal_subgroup_are_seen(scanned_orders):
+    g = parse_group_spec("D8xC3")
+    w = parse_word("x1^2 x2 x1^-1 x2^3", 2)
+    _, fibers = image(g, w, want_fibers=True)
+    assert scanned_orders == [8]  # D8 over its rotations; C3 closed form
+    whole = dataclasses.replace(g, factors=None)
+    assert image(whole, w, want_fibers=True)[1] == fibers
+    assert scanned_orders == [8, 24]
 
 
 def test_relabelled_cayley_file_is_scanned_whole(tmp_path, scanned_orders):
