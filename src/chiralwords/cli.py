@@ -29,10 +29,8 @@ from .groups import (
     anti_from_auto,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
-    gamma_data,
     inversion_map,
     parse_group_spec,
-    with_inverse,
 )
 from .search import MalformedRecordError, replay, search_chiral
 from .verify import Bounds, run_all, run_suite, summarize
@@ -140,12 +138,12 @@ def cmd_image(args) -> int:
 
 
 def _select_gammas(g, gamma_arg: Optional[str], auto_cap: int):
-    """(gamma, inverse image array) pairs: None -> all of AA(G);
+    """The anti-automorphisms to check: None -> all of AA(G);
     'inv' -> inversion; 'k' -> the k-th automorphism's anti."""
     if gamma_arg is None:
-        return gamma_data(g, auto_cap)
+        return enumerate_anti_automorphisms(g, auto_cap)
     if gamma_arg == "inv":
-        return [with_inverse(inversion_map(g))]
+        return [inversion_map(g)]
     try:
         index = int(gamma_arg)
     except ValueError:
@@ -153,7 +151,7 @@ def _select_gammas(g, gamma_arg: Optional[str], auto_cap: int):
     autos = enumerate_automorphisms(g, auto_cap)
     if not 0 <= index < len(autos):
         raise GroupError(f"--gamma index {index} out of range 0..{len(autos) - 1}")
-    return [with_inverse(anti_from_auto(autos[index]))]
+    return [anti_from_auto(autos[index])]
 
 
 def cmd_chiral(args) -> int:
@@ -262,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", help="inspect the group catalog")
-    _add_common(p)
     gsub = p.add_subparsers(dest="action", required=True)
     gl = gsub.add_parser("list", help="list catalog groups")
     _add_common(gl)

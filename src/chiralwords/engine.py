@@ -27,12 +27,12 @@ from .groups import (
     GROUP_CACHE_SIZE,
     AllGammas,
     FiniteGroup,
-    Gamma,
     GroupError,
     GroupMap,
     _closure,
     conjugacy_classes,
     element_orders,
+    is_abelian,
 )
 from .words import FreeAntiAuto, Word, apply_anti, render_word
 
@@ -133,8 +133,9 @@ class AbelianNormal(NamedTuple):
 class ScanTables:
     """The per-group data every scan of g reads, built once per group.
 
-    `cols[c][v]` is v * c; `classes` are the conjugacy classes and
-    `class_size` maps each representative to its class's size. Power
+    `cols[c][v]` is v * c; `classes` are the conjugacy classes,
+    `abelian` is `is_abelian(g)` and `class_size` maps each
+    representative to its class's size. Power
     tables are memoized by the exponent reduced mod exp(G), the lcm of the
     element orders, since a^exp(G) = e for every a; so at most exp(G) <=
     |G| of them are ever held. Every scan of g shares these, so the tables
@@ -147,6 +148,7 @@ class ScanTables:
         self.group = g
         self.cols = tuple(zip(*g.table))
         self.classes = conjugacy_classes(g)
+        self.abelian = is_abelian(g)
         self.class_size = {cls[0]: len(cls) for cls in self.classes}
         self.exponent = math.lcm(*element_orders(g))
         self.powers: Dict[int, Tuple[int, ...]] = {}
@@ -247,7 +249,7 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
     if not read:  # the identity word: every tuple maps to the identity
         return [n ** arity] + [0] * (n - 1)
     tables = scan_tables(g)
-    if len(tables.classes) == n:  # abelian: w is a homomorphism
+    if tables.abelian:  # w is a homomorphism
         counts = [0] * n
         sums = dict.fromkeys(read, 0)
         for gen, exp in w.syllables:
@@ -523,25 +525,25 @@ class PairVerdicts(NamedTuple):
     def weakly_chiral(self) -> bool:
         return self.weak_witness is not None
 
-    def against(self, gammas: Sequence[Gamma]) -> List[GammaVerdict]:
+    def against(self, gammas: Sequence[GroupMap]) -> List[GammaVerdict]:
         """The per-gamma verdicts, from the image and fibers already held.
 
-        For all of AA(G) (`gamma_data`) with fiber counts constant on the
-        Aut(G)-orbits, every gamma = zeta o inversion pulls the counts
-        back to inversion's pull-back, so each verdict is inversion's.
-        Otherwise gamma(G_w) and the twisted fiber counts are both pulled
-        back through gamma^-1 (`Gamma.pull`); the witness search runs only
-        for a gamma whose twisted counts differ.
+        For all of AA(G) (`enumerate_anti_automorphisms`) with fiber counts
+        constant on the Aut(G)-orbits, every gamma = zeta o inversion pulls
+        the counts back to inversion's pull-back, so each verdict is
+        inversion's. Otherwise gamma(G_w) and the twisted fiber counts are
+        both gathered through gamma^-1 (`GroupMap.inverse_images`).
         """
         g, members = self.image.group, self.image.members
         counts = self.fibers.counts
         if (isinstance(gammas, AllGammas)
                 and orbit_constant(counts, gammas.orbit_minima)):
             return [GammaVerdict(self.chiral, self.weak_witness)] * len(gammas)
+        member = members.__getitem__
         return [GammaVerdict(
-            chiral=gamma.pull(members) != members,
-            weak_witness=None if gamma.pull(counts) == counts
-            else weak_verdict_from_counts(g, counts, gamma[1]))
+            chiral=tuple(map(member, gamma.inverse_images)) != members,
+            weak_witness=weak_verdict_from_counts(g, counts,
+                                                  gamma.inverse_images))
             for gamma in gammas]
 
 
@@ -555,8 +557,8 @@ def pair_verdicts(g: FiniteGroup, w: Word, arity: Optional[int] = None,
         weak_verdict_from_counts(g, fibers.counts, g.inverses))
 
 
-def _check_antis(gammas: Sequence[Gamma]) -> None:
-    if any(gamma.kind != ANTI_AUTOMORPHISM for gamma, _ in gammas):
+def _check_antis(gammas: Sequence[GroupMap]) -> None:
+    if any(gamma.kind != ANTI_AUTOMORPHISM for gamma in gammas):
         raise GroupError("gamma must be an anti-automorphism")
 
 
@@ -580,11 +582,11 @@ def _report(v: PairVerdicts, start: float, key: str,
 
 def is_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
                    budget: int = DEFAULT_BUDGET,
-                   gammas: Optional[Sequence[Gamma]] = None
+                   gammas: Optional[Sequence[GroupMap]] = None
                    ) -> ChiralityReport:
-    """Decide whether G_w is closed under inversion. With `gammas` (built by
-    `gamma_data` or `with_inverse`), the report also holds each one's
-    verdict gamma(G_w) != G_w and whether all agree with inversion's."""
+    """Decide whether G_w is closed under inversion. With `gammas`, the
+    report also holds each one's verdict gamma(G_w) != G_w and whether all
+    agree with inversion's."""
     start = time.perf_counter()
     _check_antis(gammas or ())
     v = pair_verdicts(g, w, arity, budget)
@@ -633,12 +635,13 @@ def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
         wall_time_s=time.perf_counter() - start)
 
 
-def is_weakly_chiral_pair(g: FiniteGroup, w: Word, gammas: Sequence[Gamma],
+def is_weakly_chiral_pair(g: FiniteGroup, w: Word,
+                          gammas: Sequence[GroupMap],
                           arity: Optional[int] = None,
                           budget: int = DEFAULT_BUDGET) -> ChiralityReport:
     """Decide whether some fiber count differs between w and w_gamma, for
-    the first of `gammas` (built by `gamma_data` or `with_inverse`); the
-    report also holds each gamma's verdict and whether all agree."""
+    the first of `gammas`; the report also holds each gamma's verdict and
+    whether all agree."""
     if not gammas:
         raise ValueError("pass at least one gamma")
     start = time.perf_counter()

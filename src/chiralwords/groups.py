@@ -18,7 +18,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 DEFAULT_ORDER_CAP = 512
 DEFAULT_AUTO_CAP = 64
@@ -31,8 +31,9 @@ MAX_GROUP_FILE_BYTES = 16 * DEFAULT_ORDER_CAP ** 2
 # Distinct group-file contents kept parsed and validated per process.
 FILE_CACHE_SIZE = 16
 # Groups each per-group cache (built-in specs, element orders, classes,
-# automorphisms, gamma data, scan tables) keeps; the catalog at order <= 32
-# has 55 groups, so `verify` and `search` never evict.
+# automorphisms, anti-automorphisms, orbit minima, scan tables) keeps; the
+# catalog at order <= 32 has 55 groups, so `verify` and `search` never
+# evict.
 GROUP_CACHE_SIZE = 64
 
 AUTOMORPHISM = "automorphism"
@@ -108,15 +109,9 @@ def _build_group(name: str, table: Sequence[Sequence[int]],
         labels = [f"g{i}" for i in range(n)]
     if len(set(labels)) != n:
         raise GroupError("labels are not unique")
-    inverses = []
-    for a in range(n):
-        inv = next((b for b in range(n)
-                    if table[a][b] == 0 and table[b][a] == 0), None)
-        if inv is None:
-            raise GroupError(f"element {a} has no inverse")
-        inverses.append(inv)
     return FiniteGroup(name, n, tuple(tuple(row) for row in table),
-                       tuple(inverses), tuple(labels), factors)
+                       tuple(row.index(0) for row in table), tuple(labels),
+                       factors)
 
 
 @dataclass
@@ -165,15 +160,12 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupValidation:
             if not 0 <= v < n:
                 add(f"entry table[{a}][{b}] = {v!r} out of range 0..{n - 1}")
                 return report
-    for a in range(n):
-        if len(set(table[a])) != n and add(f"row {a} is not a permutation"):
+    for a, (row, col) in enumerate(zip(table, zip(*table))):
+        if len(set(row)) != n and add(f"row {a} is not a permutation"):
             return report
-        col = {table[b][a] for b in range(n)}
-        if len(col) != n and add(f"column {a} is not a permutation"):
+        if len(set(col)) != n and add(f"column {a} is not a permutation"):
             return report
-    identity = next((e for e in range(n)
-                     if all(table[e][b] == b and table[b][e] == b
-                            for b in range(n))), None)
+    identity = find_identity(table)
     if identity is None:
         add("no two-sided identity element")
         return report
@@ -459,8 +451,7 @@ def from_permutation_generators(perms: Sequence[Sequence[int]],
                 index[y] = len(elements)
                 elements.append(y)
                 queue.append(y)
-    table = [[index[_perm_compose(p, q)] for q in elements] for p in elements]
-    return _build_group(name, table, [_cycle_label(p) for p in elements])
+    return _group_from_perms(name, elements)
 
 
 # (sha256 of the file's bytes, path stem) -> group, least recently used
@@ -563,10 +554,9 @@ def element_orders(g: FiniteGroup) -> Tuple[int, ...]:
     return tuple(orders)
 
 
-@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def is_abelian(g: FiniteGroup) -> bool:
-    return all(g.table[a][b] == g.table[b][a]
-               for a in g.elements() for b in g.elements())
+    """Whether every conjugacy class is a singleton."""
+    return len(conjugacy_classes(g)) == g.order
 
 
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -638,11 +628,17 @@ class GroupMap:
     def __call__(self, a: int) -> int:
         return self.images[a]
 
-    def inverse(self) -> "GroupMap":
+    @functools.cached_property
+    def inverse_images(self) -> Tuple[int, ...]:
+        """The image array of the inverse map, built on first use and kept:
+        gamma^-1(x) for every element x."""
         inv = [0] * self.group.order
         for a, fa in enumerate(self.images):
             inv[fa] = a
-        return GroupMap._derived(self.group, tuple(inv), self.kind)
+        return tuple(inv)
+
+    def inverse(self) -> "GroupMap":
+        return GroupMap._derived(self.group, self.inverse_images, self.kind)
 
 
 def identity_map(g: FiniteGroup) -> GroupMap:
@@ -677,33 +673,6 @@ def auto_from_anti(gamma: GroupMap) -> GroupMap:
     g = gamma.group
     images = tuple(map(gamma.images.__getitem__, g.inverses))
     return GroupMap._derived(g, images, AUTOMORPHISM)
-
-
-class Gamma(tuple):
-    """A map paired with the image array of its inverse; it unpacks as
-    (gamma, inverse).
-
-    `pull(seq)` is the tuple of seq[gamma^-1(x)] for every element x,
-    gathered in C by one `operator.itemgetter` built here. Pulled through
-    gamma^-1, a membership set G_w becomes gamma(G_w) and the fiber counts
-    of w become those of the twisted map w_gamma, so every per-gamma
-    verdict is a tuple comparison.
-    """
-
-    pull: Callable[[Sequence[Any]], Tuple[Any, ...]]
-
-    def __new__(cls, gamma: GroupMap, inverse: Tuple[int, ...]) -> "Gamma":
-        self = super().__new__(cls, (gamma, inverse))
-        if len(inverse) > 1:
-            self.pull = operator.itemgetter(*inverse)
-        else:  # itemgetter with one index returns a scalar, not a tuple
-            self.pull = lambda seq: (seq[0],)
-        return self
-
-
-def with_inverse(gamma: GroupMap) -> Gamma:
-    """A map paired with its inverse image array, as verdicts consume it."""
-    return Gamma(gamma, gamma.inverse().images)
 
 
 def _greedy_generators(table: Sequence[Sequence[int]],
@@ -841,11 +810,24 @@ def enumerate_automorphisms(g: FiniteGroup,
     return tuple(GroupMap(g, arr, AUTOMORPHISM) for arr in arrays)
 
 
+class AllGammas(tuple):
+    """Every anti-automorphism of a group, in enumeration order, carrying
+    `orbit_minima`, the group's `automorphism_orbit_minima`.
+
+    Only `enumerate_anti_automorphisms` makes one: any other sequence of
+    gammas, even one built from these, is a plain tuple or list."""
+
+    orbit_minima: Tuple[int, ...]
+
+
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def enumerate_anti_automorphisms(g: FiniteGroup,
-                                 cap: int = DEFAULT_AUTO_CAP) -> Tuple[GroupMap, ...]:
+                                 cap: int = DEFAULT_AUTO_CAP) -> AllGammas:
     """All anti-automorphisms, via the bijection with automorphisms."""
-    return tuple(anti_from_auto(z) for z in enumerate_automorphisms(g, cap))
+    gammas = AllGammas(anti_from_auto(zeta)
+                       for zeta in enumerate_automorphisms(g, cap))
+    gammas.orbit_minima = automorphism_orbit_minima(g, cap)
+    return gammas
 
 
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -855,27 +837,6 @@ def automorphism_orbit_minima(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP
     over zeta of zeta(x). O(|Aut(G)| |G|)."""
     autos = enumerate_automorphisms(g, cap)
     return tuple(map(min, zip(*(zeta.images for zeta in autos))))
-
-
-class AllGammas(tuple):
-    """Every anti-automorphism of a group, as `gamma_data` builds them,
-    carrying `orbit_minima`, the group's `automorphism_orbit_minima`.
-
-    Only `gamma_data` makes one: any other sequence of gammas, even one
-    built from these, is a plain tuple or list."""
-
-    orbit_minima: Tuple[int, ...]
-
-
-@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
-def gamma_data(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP) -> AllGammas:
-    """Each anti-automorphism of g, in enumeration order, with its inverse
-    image array and pull-back: the per-group data every gamma verdict
-    reads."""
-    gammas = AllGammas(with_inverse(gamma)
-                       for gamma in enumerate_anti_automorphisms(g, cap))
-    gammas.orbit_minima = automorphism_orbit_minima(g, cap)
-    return gammas
 
 
 def is_isomorphic(g: FiniteGroup, h: FiniteGroup,

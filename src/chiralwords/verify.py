@@ -33,7 +33,6 @@ from .groups import (
     FiniteGroup,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
-    gamma_data,
 )
 from .words import (
     FreeAntiAuto,
@@ -205,12 +204,13 @@ def _remark(bounds: Bounds, words: Sequence[Word]) -> Check:
     and counts_{w_gamma}[x] = counts_w[gamma^-1(x)] matches direct twisted
     enumeration."""
     def check(report, where, g, w):
-        gammas = gamma_data(g, bounds.auto_cap)
+        gammas = enumerate_anti_automorphisms(g, bounds.auto_cap)
         _, fibers = image(g, w, want_fibers=True, budget=bounds.budget)
         # One direct evaluation pass, shared by every gamma's twisted count.
         direct = naive_image(g, w, budget=bounds.budget)[1].counts
         verdicts = []
-        for zi, (gamma, gamma_inv) in enumerate(gammas):
+        for zi, gamma in enumerate(gammas):
+            gamma_inv = gamma.inverse_images
             twisted_direct = [0] * g.order
             for v, c in enumerate(direct):
                 twisted_direct[gamma.images[v]] += c

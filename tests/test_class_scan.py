@@ -26,7 +26,6 @@ from chiralwords.groups import (
     identity_map,
     inversion_map,
     parse_group_spec,
-    with_inverse,
 )
 from chiralwords.words import parse_word
 
@@ -131,12 +130,12 @@ def test_positive_chiral_and_weak_verdicts(monkeypatch):
     v = pair_verdicts(g, w)
     assert v.chiral_witness == 1 and v.chiral
     assert v.weak_witness == 1 and v.weakly_chiral
-    [inv] = v.against([with_inverse(inversion_map(g))])
+    [inv] = v.against([inversion_map(g)])
     assert (inv.chiral, inv.weak_witness) == (v.chiral, v.weak_witness)
     # On abelian C3 the identity is an anti-automorphism too; it fixes
     # G_w and every fiber, so it disagrees with inversion.
-    [ident] = v.against([with_inverse(identity_map(g))])
+    [ident] = v.against([identity_map(g)])
     assert not ident.chiral and ident.weak_witness is None
     assert (ident.chiral, ident.weak_witness) != (v.chiral, v.weak_witness)
-    report = is_weakly_chiral_pair(g, w, [with_inverse(inversion_map(g))])
+    report = is_weakly_chiral_pair(g, w, [inversion_map(g)])
     assert report.weakly_chiral and report.weak_witness == 1

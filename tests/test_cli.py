@@ -45,6 +45,21 @@ def test_group_autos(capsys):
     assert len(json.loads(out)["automorphisms"]) == 6
 
 
+@pytest.mark.parametrize("action", [["list", "--max-order", "4"],
+                                    ["show", "C4"], ["autos", "C4"]])
+def test_group_flags_follow_the_action(capsys, action):
+    # After the action the common flags apply; before it, `group` has none
+    # to take, so they are refused instead of being silently dropped.
+    code, out, _ = run(capsys, "group", *action, "--format", "structured")
+    assert code == 0 and json.loads(out)["schema_version"] == 1
+    for flags in (["--format", "structured"], ["--auto-cap", "8"],
+                  ["--budget", "5"], ["--format=structured"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["group", *flags, *action])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_image_command(capsys):
     code, out, _ = run(capsys, "image", "--group", "C4", "--word", "x1^2",
                        "--fibers", "--format", "structured")

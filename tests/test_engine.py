@@ -24,11 +24,9 @@ from chiralwords.groups import (
     build_family,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
-    gamma_data,
     identity_map,
     inversion_map,
     parse_group_spec,
-    with_inverse,
 )
 from chiralwords.words import (
     FreeAntiAuto,
@@ -286,11 +284,11 @@ def test_gamma_flavor_validation():
 
 def test_weak_chirality_examples():
     c4 = build_family("C4")
-    gamma = [with_inverse(anti_from_auto(identity_map(c4)))]
+    gamma = [anti_from_auto(identity_map(c4))]
     assert not is_weakly_chiral_pair(c4, parse_word("x1^2", 1), gamma).weakly_chiral
     for spec in ["C6", "S3", "Q8"]:
         g = parse_group_spec(spec)
-        gm = [with_inverse(anti_from_auto(identity_map(g)))]
+        gm = [anti_from_auto(identity_map(g))]
         r = is_weakly_chiral_pair(g, parse_word("x1", 2), gm)
         assert not r.weakly_chiral
         assert set(r.counts) == {g.order}  # all fibers |G|^(d-1)
@@ -299,7 +297,7 @@ def test_weak_chirality_examples():
 def test_predicates_report_every_gamma_they_are_given():
     g = parse_group_spec("S3")
     w = parse_word("x1^2 x2", 2)
-    gammas = gamma_data(g)
+    gammas = enumerate_anti_automorphisms(g)
     plain = is_chiral_pair(g, w)
     assert (plain.gamma_results, plain.all_gammas_agree) == ([], None)
     report = is_chiral_pair(g, w, gammas=gammas)
@@ -313,7 +311,7 @@ def test_predicates_report_every_gamma_they_are_given():
 def test_predicates_refuse_a_gamma_that_is_no_anti_automorphism():
     g = parse_group_spec("S3")
     w = parse_word("x1 x2", 2)
-    auto = [with_inverse(identity_map(g))]
+    auto = [identity_map(g)]
     with pytest.raises(GroupError, match="anti-automorphism"):
         is_chiral_pair(g, w, gammas=auto)
     with pytest.raises(GroupError, match="anti-automorphism"):
@@ -329,7 +327,7 @@ def test_weak_verdict_gamma_independent(rng):
         for _ in range(8):
             w = random_reduced_word(rng, 2, 4)
             verdicts = {is_weakly_chiral_pair(
-                g, w, [with_inverse(gamma)]).weakly_chiral for gamma in gammas}
+                g, w, [gamma]).weakly_chiral for gamma in gammas}
             assert len(verdicts) == 1
 
 
@@ -359,7 +357,7 @@ def test_report_structured_fields():
 def test_gamma_verdicts_catch_a_bad_gamma():
     g = build_family("S3")
     v = pair_verdicts(g, parse_word("x1^2", 1))  # G_w = {e} + 3-cycles
-    inversion = v.against([with_inverse(inversion_map(g))])[0]
+    inversion = v.against([inversion_map(g)])[0]
     assert inversion.chiral == v.chiral
     assert inversion.weak_witness == v.weak_witness
     members = v.image.members
@@ -370,7 +368,7 @@ def test_gamma_verdicts_catch_a_bad_gamma():
     a, b = g.labels.index("(1 2 3)"), g.labels.index("(1 2)")
     swap[a], swap[b] = b, a
     bad = GroupMap._derived(g, tuple(swap), ANTI_AUTOMORPHISM)
-    verdict = v.against([with_inverse(bad)])[0]
+    verdict = v.against([bad])[0]
     assert verdict.chiral and verdict.chiral != v.chiral
     assert map_set(bad, members) != invert_set(g, members)
     assert verdict.weak_witness == min(a, b)

@@ -1,7 +1,7 @@
-"""Per-gamma verdicts read through the pull-back gather of gamma^-1, and
-the Aut(G)-orbit check that certifies a finding's `gammas_agree`.
+"""Per-gamma verdicts read through the gather of gamma^-1, and the
+Aut(G)-orbit check that certifies a finding's `gammas_agree`.
 
-`PairVerdicts.against` compares pulled tuples, or, given all of AA(G)
+`PairVerdicts.against` compares gathered tuples, or, given all of AA(G)
 and fibers constant on the Aut(G)-orbits, repeats inversion's verdicts;
 either way it must equal a reference built the direct way, from `map_set`
 and `weak_verdict_from_counts`. `_scan_pair(...).gammas_agree` must equal
@@ -30,11 +30,11 @@ from chiralwords.groups import (
     GroupMap,
     automorphism_orbit_minima,
     build_family,
-    gamma_data,
+    enumerate_anti_automorphisms,
+    enumerate_automorphisms,
     identity_map,
     inversion_map,
     parse_group_spec,
-    with_inverse,
 )
 from chiralwords.search import _scan_pair
 from chiralwords.words import parse_word
@@ -50,8 +50,9 @@ def reference(v, gammas):
     counts = v.fibers.counts
     return [GammaVerdict(chiral=map_set(gamma, members) != members,
                          weak_witness=weak_verdict_from_counts(
-                             g, counts, inverse))
-            for gamma, inverse in gammas]
+                             g, counts, tuple(map(gamma.images.index,
+                                                  g.elements()))))
+            for gamma in gammas]
 
 
 def per_gamma_rule(v, gammas):
@@ -62,7 +63,7 @@ def per_gamma_rule(v, gammas):
     return all(r.chiral == v.chiral
                and (r.weak_witness is not None) == v.weakly_chiral
                and map_set(gamma, members) == inverted
-               for r, (gamma, _) in zip(reference(v, gammas), gammas))
+               for r, gamma in zip(reference(v, gammas), gammas))
 
 
 def check(v, gammas):
@@ -95,8 +96,8 @@ def scan_faked(monkeypatch, spec, counts, auto_cap=AUTO_CAP):
 @pytest.mark.parametrize("spec", catalog_specs(24))
 def test_pullback_matches_direct_verdicts_on_the_catalog(spec):
     g = parse_group_spec(spec)
-    gammas = gamma_data(g)
-    odd = gammas + (with_inverse(identity_map(g)),)
+    gammas = enumerate_anti_automorphisms(g)
+    odd = gammas + (identity_map(g),)
     for text in WORDS:
         w = parse_word(text, 2)
         v = pair_verdicts(g, w, 2)
@@ -111,30 +112,62 @@ def test_all_gammas_on_orbit_constant_fibers_need_no_pull(spec,
                                                           monkeypatch):
     # A real word's fibers are constant on the Aut(G)-orbits (Lemma 1), so
     # against all of AA(G) every verdict is inversion's, taken without
-    # pulling anything back through any gamma.
+    # reading any gamma's inverse image array.
     g = parse_group_spec(spec)
-    gammas = gamma_data(g)
+    gammas = enumerate_anti_automorphisms(g)
     assert isinstance(gammas, AllGammas)
     assert gammas.orbit_minima == automorphism_orbit_minima(g)
-
-    def no_pull(seq):
-        raise AssertionError("pulled back through a gamma")
-
-    for gamma in gammas:
-        monkeypatch.setattr(gamma, "pull", no_pull)
+    verdicts = {}
     for text in WORDS:
         v = pair_verdicts(g, parse_word(text, 2), 2)
         assert orbit_constant(v.fibers.counts, gammas.orbit_minima)
-        assert check(v, gammas) == [
+        verdicts[text] = v, reference(v, gammas)
+
+    def no_pull(self):
+        raise AssertionError("gathered through a gamma's inverse")
+
+    # A data descriptor on the class outranks any array already cached on
+    # an instance, so every read of an inverse array fails from here on.
+    monkeypatch.setattr(GroupMap, "inverse_images", property(no_pull))
+    for v, expected in verdicts.values():
+        assert v.against(gammas) == expected == [
             GammaVerdict(v.chiral, v.weak_witness)] * len(gammas)
 
 
 @pytest.mark.parametrize("spec", ["C1", "C2"])
-def test_single_and_two_element_gathers_return_tuples(spec):
+def test_single_and_two_element_gathers_return_tuples(spec, monkeypatch):
+    # On one or two elements the per-gamma path still gathers whole
+    # tuples, so its verdicts are the direct ones.
     g = build_family(spec)
-    for gamma in gamma_data(g):
-        assert gamma.pull(tuple(range(10, 10 + g.order))) == tuple(
-            10 + gamma[1][x] for x in g.elements())
+    gammas = enumerate_anti_automorphisms(g)
+    for gamma in gammas:
+        assert gamma.inverse_images == tuple(
+            gamma.images.index(x) for x in g.elements())
+    v = faked(monkeypatch, g, (1,) + (0,) * (g.order - 1))
+    assert check(v, list(gammas)) == [GammaVerdict(False, None)] * len(gammas)
+
+
+@pytest.mark.parametrize("spec", catalog_specs(24))
+def test_enumerated_anti_automorphisms_carry_the_orbit_minima(spec):
+    g = parse_group_spec(spec)
+    gammas = enumerate_anti_automorphisms(g)
+    assert isinstance(gammas, AllGammas)
+    assert gammas.orbit_minima == automorphism_orbit_minima(g)
+    assert not isinstance(gammas + (), AllGammas)
+    assert not isinstance(gammas[:1], AllGammas)
+
+
+@pytest.mark.parametrize("spec", catalog_specs(32))
+def test_inverse_images_invert_images_on_both_sides(spec):
+    g = parse_group_spec(spec)
+    maps = (enumerate_automorphisms(g) + enumerate_anti_automorphisms(g)
+            + (identity_map(g), inversion_map(g)))
+    for m in maps:
+        inv = m.inverse_images
+        assert len(inv) == g.order
+        assert all(inv[m.images[x]] == x and m.images[inv[x]] == x
+                   for x in g.elements())
+        assert m.inverse().images is inv and m.inverse().kind == m.kind
 
 
 def test_positive_fibers_run_the_disagreeing_branches(monkeypatch):
@@ -144,8 +177,8 @@ def test_positive_fibers_run_the_disagreeing_branches(monkeypatch):
     g = build_family("C3")
     v = faked(monkeypatch, g, (1, 2, 0))
     assert v.chiral and v.weakly_chiral
-    gammas = gamma_data(g)
-    assert [gamma.images for gamma, _ in gammas] == [(0, 2, 1), (0, 1, 2)]
+    gammas = enumerate_anti_automorphisms(g)
+    assert [gamma.images for gamma in gammas] == [(0, 2, 1), (0, 1, 2)]
     # All of AA(C3), but the fibers are not orbit-constant, so each gamma
     # is pulled back on its own.
     assert isinstance(gammas, AllGammas)
@@ -165,10 +198,10 @@ def test_gammas_agree_reads_the_weak_verdict(monkeypatch):
     g = build_family("C3")
     v = faked(monkeypatch, g, (3, 2, 4))
     assert not v.chiral and v.weak_witness == 1
-    ident = [with_inverse(identity_map(g))]
+    ident = [identity_map(g)]
     assert check(v, ident) == [GammaVerdict(False, None)]
     assert not per_gamma_rule(v, ident)
-    inv = [with_inverse(inversion_map(g))]
+    inv = [inversion_map(g)]
     assert check(v, inv) == [GammaVerdict(False, 1)]
     assert per_gamma_rule(v, inv)
     assert scan_faked(monkeypatch, "C3", (3, 2, 4)).gammas_agree is False
@@ -187,7 +220,7 @@ def test_gammas_agree_needs_fibers_constant_on_automorphism_orbits(
     counts = (1, 2, 3, 12, 14, 4)
     v = faked(monkeypatch, g, counts)
     assert not v.chiral and v.weakly_chiral
-    assert per_gamma_rule(v, gamma_data(g))
+    assert per_gamma_rule(v, enumerate_anti_automorphisms(g))
     assert scan_faked(monkeypatch, "S3", counts).gammas_agree is False
 
 
@@ -208,7 +241,7 @@ def test_weak_witness_is_taken_against_gamma_inverse(monkeypatch):
     gamma = GroupMap(g, tuple(4 * x % 7 for x in g.elements()),
                      ANTI_AUTOMORPHISM)
     v = faked(monkeypatch, g, (0, 5, 1, 0, 5, 0, 0))
-    [verdict] = check(v, [with_inverse(gamma)])
+    [verdict] = check(v, [gamma])
     assert verdict.weak_witness == 1
 
 
@@ -221,7 +254,7 @@ def test_sets_are_pulled_through_gamma_inverse(monkeypatch):
     v = faked(monkeypatch, g, (1, 1, 0, 0, 0, 0, 0))
     members = v.image.members
     inverted = invert_set(g, members)
-    forth, back = with_inverse(beta), with_inverse(beta.inverse())
+    forth, back = beta, beta.inverse()
     assert [r.chiral for r in check(v, [forth, back])] == [True, True]
-    assert forth.pull(members) == inverted
-    assert back.pull(members) != inverted
+    assert map_set(forth, members) == inverted
+    assert map_set(back, members) != inverted

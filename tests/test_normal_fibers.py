@@ -17,8 +17,8 @@ from chiralwords.catalog import catalog_groups
 from chiralwords.engine import image, naive_image, pair_verdicts, scan_tables
 from chiralwords.groups import (
     conjugacy_classes,
+    enumerate_anti_automorphisms,
     from_cayley_document,
-    gamma_data,
     is_abelian,
     parse_group_spec,
 )
@@ -148,7 +148,7 @@ def test_real_positive_verdicts_on_c7_c9(text, chiral, weakly_chiral, size):
         assert v.image.size == size
     inverses = {g.inv(x) for x in v.image.member_indices}
     assert (inverses != set(v.image.member_indices)) == chiral
-    gammas = gamma_data(g)
+    gammas = enumerate_anti_automorphisms(g)
     assert len(gammas) == 126
     inversion = (v.chiral, v.weak_witness)
     # The orbit check and each gamma's own pull-back give the same answer:

@@ -22,8 +22,6 @@ from chiralwords.groups import (
     element_orders,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
-    gamma_data,
-    is_abelian,
     parse_group_spec,
 )
 from chiralwords.words import parse_word
@@ -70,10 +68,9 @@ def test_scan_table_cache_stays_within_its_bound():
         assert info.currsize <= GROUP_CACHE_SIZE
 
 
-PER_GROUP_CACHES = [groups.element_orders, groups.is_abelian,
+PER_GROUP_CACHES = [groups.element_orders,
                     groups.conjugacy_classes, groups.enumerate_automorphisms,
-                    groups.enumerate_anti_automorphisms, groups.gamma_data,
-                    engine.scan_tables]
+                    groups.enumerate_anti_automorphisms, engine.scan_tables]
 
 
 def test_per_group_caches_stay_bounded_over_70_group_files(tmp_path):
@@ -95,11 +92,9 @@ def test_per_group_caches_stay_bounded_over_70_group_files(tmp_path):
         g = parse_group_spec(f"@{path}")
         loaded.add(g)
         element_orders(g)
-        is_abelian(g)
         conjugacy_classes(g)
         enumerate_automorphisms(g)
         enumerate_anti_automorphisms(g)
-        gamma_data(g)
         image(g, parse_word("x1 x2^2", 2))
         for cache in PER_GROUP_CACHES:
             info = cache.cache_info()

@@ -23,7 +23,6 @@ from chiralwords.groups import (
     build_family,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
-    gamma_data,
     identity_map,
     inversion_map,
     is_abelian,
@@ -43,17 +42,15 @@ def test_derived_maps_pass_the_checked_constructor(spec):
     assert checked(inversion_map(g)) == inversion_map(g)
     assert inversion_map(g) == anti_from_auto(identity_map(g))
     antis = enumerate_anti_automorphisms(g)
-    data = gamma_data(g)
-    assert [gamma for gamma, _ in data] == list(antis)
-    for zeta, gamma, (_, gamma_inverse) in zip(enumerate_automorphisms(g),
-                                               antis, data):
+    for zeta, gamma in zip(enumerate_automorphisms(g), antis):
         assert gamma == anti_from_auto(zeta) == checked(gamma)
         assert gamma.kind == ANTI_AUTOMORPHISM
         assert checked(zeta.inverse()) == zeta.inverse()
         assert checked(auto_from_anti(gamma)) == auto_from_anti(gamma) == zeta
         assert checked(gamma.inverse()) == gamma.inverse()
-        assert gamma.inverse().images == gamma_inverse
-        assert all(gamma_inverse[gamma.images[x]] == x for x in g.elements())
+        assert gamma.inverse().images == gamma.inverse_images
+        assert all(gamma.inverse_images[gamma.images[x]] == x
+                   for x in g.elements())
 
 
 def test_bad_user_maps_raise():
@@ -89,7 +86,7 @@ def test_images_that_are_no_permutation_are_named(images):
 
 def test_law_checked_once_per_distinct_map(monkeypatch):
     for cached in (enumerate_automorphisms, enumerate_anti_automorphisms,
-                   gamma_data, automorphism_orbit_minima):
+                   automorphism_orbit_minima):
         cached.cache_clear()
     seen = []
     original = GroupMap.__post_init__
