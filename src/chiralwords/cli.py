@@ -26,7 +26,6 @@ from .engine import (
 from .groups import (
     DEFAULT_AUTO_CAP,
     GroupError,
-    anti_from_auto,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
     inversion_map,
@@ -44,13 +43,18 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["human", "structured"],
-                        default="human", help="output rendering")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="max tuple evaluations per image")
-    parser.add_argument("--auto-cap", type=int, default=DEFAULT_AUTO_CAP,
-                        help="max group order for automorphism enumeration")
+def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the named common flags; a command takes only those it reads."""
+    if "--format" in flags:
+        parser.add_argument("--format", choices=["human", "structured"],
+                            default="human", help="output rendering")
+    if "--budget" in flags:
+        parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                            help="max tuple evaluations per image")
+    if "--auto-cap" in flags:
+        parser.add_argument("--auto-cap", type=int, default=DEFAULT_AUTO_CAP,
+                            help="max group order for automorphism "
+                                 "enumeration")
 
 
 def _parse_word_arg(text: str, rank: Optional[int]) -> Word:
@@ -139,7 +143,7 @@ def cmd_image(args) -> int:
 
 def _select_gammas(g, gamma_arg: Optional[str], auto_cap: int):
     """The anti-automorphisms to check: None -> all of AA(G);
-    'inv' -> inversion; 'k' -> the k-th automorphism's anti."""
+    'inv' -> inversion; 'k' -> the k-th of AA(G), zeta_k o inversion."""
     if gamma_arg is None:
         return enumerate_anti_automorphisms(g, auto_cap)
     if gamma_arg == "inv":
@@ -148,10 +152,10 @@ def _select_gammas(g, gamma_arg: Optional[str], auto_cap: int):
         index = int(gamma_arg)
     except ValueError:
         raise GroupError(f"--gamma must be 'inv' or an index, got {gamma_arg!r}")
-    autos = enumerate_automorphisms(g, auto_cap)
-    if not 0 <= index < len(autos):
-        raise GroupError(f"--gamma index {index} out of range 0..{len(autos) - 1}")
-    return [anti_from_auto(autos[index])]
+    antis = enumerate_anti_automorphisms(g, auto_cap)
+    if not 0 <= index < len(antis):
+        raise GroupError(f"--gamma index {index} out of range 0..{len(antis) - 1}")
+    return [antis[index]]
 
 
 def cmd_chiral(args) -> int:
@@ -262,14 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group", help="inspect the group catalog")
     gsub = p.add_subparsers(dest="action", required=True)
     gl = gsub.add_parser("list", help="list catalog groups")
-    _add_common(gl)
+    _add_common(gl, "--format")
     gl.add_argument("--max-order", type=int, default=32)
     gl.add_argument("--families", nargs="+")
     gl.set_defaults(func=cmd_group, action="list")
-    for action, help_text in [("show", "print a Cayley table"),
-                              ("autos", "enumerate (anti-)automorphisms")]:
+    for action, help_text, flags in [
+            ("show", "print a Cayley table", ["--format"]),
+            ("autos", "enumerate (anti-)automorphisms",
+             ["--format", "--auto-cap"])]:
         ga = gsub.add_parser(action, help=help_text)
-        _add_common(ga)
+        _add_common(ga, *flags)
         ga.add_argument("spec", help="group spec, e.g. C4, D8, Q8, S3, "
                                      "C2xC4, or @file.json")
         ga.set_defaults(func=cmd_group, action=action)
@@ -280,20 +286,21 @@ def build_parser() -> argparse.ArgumentParser:
             ("weak-chiral", "decide weak chirality of (G, w)",
              cmd_weak_chiral)]:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
         p.add_argument("--group", required=True)
         p.add_argument("--word", required=True)
         p.add_argument("--rank", type=int)
         p.add_argument("--arity", type=int)
         if func is cmd_image:
+            _add_common(p, "--format", "--budget")
             p.add_argument("--fibers", action="store_true")
         else:
+            _add_common(p, "--format", "--budget", "--auto-cap")
             p.add_argument("--gamma", help="'inv', an automorphism index, "
                                            "or omitted to check all gammas")
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run the verification suites")
-    _add_common(p)
+    _add_common(p, "--format", "--budget", "--auto-cap")
     p.add_argument("suite", choices=["lemma1", "thm1", "thm2", "remark", "all"])
     p.add_argument("--max-order", type=int, default=16)
     p.add_argument("--max-len", type=int, default=4)
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="sweep for chiral pairs")
-    _add_common(p)
+    _add_common(p, "--budget", "--auto-cap")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--max-len", type=int, default=4)
     p.add_argument("--max-order", type=int, default=16)
@@ -318,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("replay", help="re-verify a findings file")
-    _add_common(p)
+    _add_common(p, "--budget", "--auto-cap")
     p.add_argument("infile", help="line-delimited findings file")
     p.set_defaults(func=cmd_replay)
 

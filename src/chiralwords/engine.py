@@ -1,10 +1,11 @@
 """Word-map evaluation over G^d: images, fibers, and chirality verdicts.
 
-On abelian groups the word map is a homomorphism, so its fiber counts
-come in closed form from one power table, with no scan. On a direct
-product A x B built by `groups.direct_product` they are the outer product
-of the factors' counts, so only A^d and B^d are scanned, never (A x B)^d.
-Elsewhere they come from one tuple per coset of A^d for an abelian normal
+On abelian groups the word map is a homomorphism, and on any group a word
+reading one coordinate is a power map, so their fiber counts come in
+closed form from one power table, with no scan. On a direct product A x B
+built by `groups.direct_product` they are the outer product of the
+factors' counts, so only A^d and B^d are scanned, never (A x B)^d.
+Elsewhere they come from one tuple per coset of A^k for an abelian normal
 subgroup A (`_normal_scan`: dihedral groups, Q8), or, where a cost
 estimate says that is dearer, from one first coordinate per conjugacy
 class, weighted by the class size, since fiber counts are class functions
@@ -217,9 +218,10 @@ SUBGROUP_CACHE_SIZE = 1024
 def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
                   budget: int) -> List[int]:
     """Exact fiber counts of w over G^arity: in closed form on abelian
-    groups, as an outer product on direct products, and on the rest from
-    a scan over an abelian normal subgroup (`_normal_scan`) or a
-    class-weighted scan (`_class_scan`), whichever `normal_wins` picks.
+    groups and for words reading one coordinate, as an outer product on
+    direct products, and on the rest from a scan over an abelian normal
+    subgroup (`_normal_scan`) or a class-weighted scan (`_class_scan`),
+    whichever `normal_wins` picks.
 
     On an abelian group (every conjugacy class a singleton) w(t) is
     prod t_i^{e_i}, where e_i is the exponent sum of x_i, so w is a
@@ -230,7 +232,9 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
     preimages and every other element none. The power map a -> a^m is a
     homomorphism with image G^m, so counting its preimages through
     `power_table(m)` and scaling by |G|^(arity-1) gives those counts
-    without a scan.
+    without a scan. On any group a word reading only x_i is x_i^e, e its
+    exponent sum, with counts #{a : a^e = x} |G|^(arity-1); a -> a^-1 maps
+    {a : a^-e = x} onto {a : a^e = x}, so they depend on |e| = m only.
 
     On a nonabelian G = A x B built by `direct_product` (`g.factors`),
     (A x B)^arity = A^arity x B^arity and w is evaluated componentwise, so
@@ -238,7 +242,7 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
     the factors' counts, each computed by this same function, and the
     scan of G^arity becomes scans of A^arity and B^arity. The element
     i*|B| + j of the product is the pair (i, j), which fixes the order of
-    the outer product. Abelian products take the closed form above first.
+    the outer product. The closed forms above are taken first.
     The budget is checked on G itself, so a product is refused exactly
     when its scan would be, and it is checked before either scan runs.
     A coordinate the word does not read multiplies every count by |G|.
@@ -249,7 +253,7 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
     if not read:  # the identity word: every tuple maps to the identity
         return [n ** arity] + [0] * (n - 1)
     tables = scan_tables(g)
-    if tables.abelian:  # w is a homomorphism
+    if tables.abelian or len(read) == 1:  # a homomorphism or a power map
         counts = [0] * n
         sums = dict.fromkeys(read, 0)
         for gen, exp in w.syllables:
@@ -273,8 +277,8 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
 
 
 def _normal_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
-    """Fiber counts of w over G^k, k = len(read), from one tuple per coset
-    of A^k, for A = `tables.normal` abelian and normal in G.
+    """Fiber counts of w over G^k, k = len(read) >= 2, from one tuple per
+    coset of A^k, for A = `tables.normal` abelian and normal in G.
 
     Write t_i = a_i s_i with a_i in A and s_i in the transversal T. Moving
     each a_i to the left conjugates it by elements that depend only on s,
@@ -326,7 +330,7 @@ def _normal_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
 
 
 def _class_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
-    """Fiber counts of w over G^k, k = len(read), from one first
+    """Fiber counts of w over G^k, k = len(read) >= 2, from one first
     coordinate per conjugacy class.
 
     Conjugation by h maps the tuples with first coordinate r onto those
@@ -336,8 +340,8 @@ def _class_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
     each class's weighted total is then shared equally among its members.
 
     The trailing coordinates, as many as fit in SCAN_BLOCK tuples (the
-    first coordinate stays outside when there are others), are covered at
-    once: one list comprehension per syllable over the whole block. The
+    first coordinate stays outside), are covered at once: one list
+    comprehension per syllable over the whole block. The
     coordinates before them run as an odometer, and the syllables before
     the first one that reads the block give a prefix that is constant
     across it.
@@ -363,10 +367,8 @@ def _class_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
     s = next(j for j, (c, _) in enumerate(sylls) if c >= inner)
     head, first_pows, tail = sylls[:s], sylls[s][1], sylls[s + 1:]
     cols = tables.cols
-    classes = tables.classes if inner else ()
     class_size = tables.class_size
-    outer = product(class_size, *[range(n)] * (inner - 1)) if inner else [()]
-    for tup in outer:
+    for tup in product(class_size, *[range(n)] * (inner - 1)):
         p = 0
         for c, pows in head:
             p = table[p][pows[tup[c]]]
@@ -378,10 +380,10 @@ def _class_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
             else:
                 col = cols[pows[tup[c]]]
                 vec = [col[v] for v in vec]
-        weight = class_size[tup[0]] if inner else 1
+        weight = class_size[tup[0]]
         for v in vec:
             counts[v] += weight
-    for cls in classes:
+    for cls in tables.classes:
         if len(cls) > 1:
             share, rest = divmod(sum(counts[x] for x in cls), len(cls))
             assert not rest, "fiber counts are class functions"
@@ -487,19 +489,12 @@ def weak_verdict_from_counts(g: FiniteGroup, counts: Sequence[int],
     """Witness x with counts_w[x] != counts_{w_gamma}[x], or None.
 
     Uses the fiber identity counts_{w_gamma}[x] = counts_w[gamma^-1(x)];
-    gamma_inverse is the image array of gamma^-1.
-    """
+    gamma_inverse is the image array of gamma^-1. Given the orbit minima
+    (`automorphism_orbit_minima`) instead, None says N_w is orbit-constant."""
     for x in g.elements():
         if counts[x] != counts[gamma_inverse[x]]:
             return x
     return None
-
-
-def orbit_constant(counts: Sequence[int],
-                   orbit_minima: Sequence[int]) -> bool:
-    """Whether counts[x] = counts[m(x)] for every x, where m(x) is the least
-    element of x's Aut(G)-orbit (`automorphism_orbit_minima`)."""
-    return all(counts[x] == counts[m] for x, m in enumerate(orbit_minima))
 
 
 class GammaVerdict(NamedTuple):
@@ -536,8 +531,8 @@ class PairVerdicts(NamedTuple):
         """
         g, members = self.image.group, self.image.members
         counts = self.fibers.counts
-        if (isinstance(gammas, AllGammas)
-                and orbit_constant(counts, gammas.orbit_minima)):
+        if (isinstance(gammas, AllGammas) and weak_verdict_from_counts(
+                g, counts, gammas.orbit_minima) is None):
             return [GammaVerdict(self.chiral, self.weak_witness)] * len(gammas)
         member = members.__getitem__
         return [GammaVerdict(

@@ -30,10 +30,10 @@ MAX_AUTOMORPHISMS = 2 ** 15
 MAX_GROUP_FILE_BYTES = 16 * DEFAULT_ORDER_CAP ** 2
 # Distinct group-file contents kept parsed and validated per process.
 FILE_CACHE_SIZE = 16
-# Groups each per-group cache (built-in specs, element orders, classes,
-# automorphisms, anti-automorphisms, orbit minima, scan tables) keeps; the
-# catalog at order <= 32 has 55 groups, so `verify` and `search` never
-# evict.
+# Groups each of the 8 per-group caches (built-in specs, element orders,
+# classes, search generators, automorphisms, anti-automorphisms, orbit
+# minima, scan tables) keeps; the catalog at order <= 32 has 55 groups, so
+# `verify` and `search` never evict.
 GROUP_CACHE_SIZE = 64
 
 AUTOMORPHISM = "automorphism"
@@ -704,7 +704,6 @@ def _closure(table: Sequence[Sequence[int]], gens: Sequence[int],
     return seen
 
 
-@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _profiles(g: FiniteGroup) -> Tuple[Tuple[int, int], ...]:
     """Each element's (order, conjugacy-class size); isomorphisms keep both."""
     size = {x: len(cls) for cls in conjugacy_classes(g) for x in cls}

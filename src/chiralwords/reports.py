@@ -13,8 +13,6 @@ import math
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-SCHEMA_VERSION = 1
-
 _TIMING_KEYS = {"wall_time_s"}
 
 

@@ -16,13 +16,14 @@ from .catalog import catalog_groups
 from .engine import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    orbit_constant,
     pair_verdicts,
+    weak_verdict_from_counts,
 )
 from .groups import (
     DEFAULT_AUTO_CAP,
     CapExceededError,
     FiniteGroup,
+    _is_int,
     automorphism_orbit_minima,
     is_abelian,
     parse_group_spec,
@@ -95,17 +96,14 @@ def _scan_pair(spec: str, g: FiniteGroup, w: Word, auto_cap: int,
     except CapExceededError:  # Aut(G) not enumerated: agreement unknown
         gammas_agree = None
     else:
-        gammas_agree = orbit_constant(v.fibers.counts, rep)
+        gammas_agree = weak_verdict_from_counts(g, v.fibers.counts,
+                                                rep) is None
     return Finding(
         group_spec=spec, group_order=g.order, word_text=render_word(w),
         arity=d, chiral=v.chiral, weakly_chiral=v.weakly_chiral,
         gammas_agree=gammas_agree,
         chiral_witness=v.chiral_witness, weak_witness=v.weak_witness,
         image_size=v.image.size, evaluations=g.order ** d)
-
-
-def _is_power_word(w: Word) -> bool:
-    return len(w.syllables) <= 1
 
 
 def search_chiral(rank: int, max_len: int, max_order: int,
@@ -122,7 +120,7 @@ def search_chiral(rank: int, max_len: int, max_order: int,
     groups = [(spec, g) for spec, g in catalog_groups(max_order, families)
               if not is_abelian(g)]
     for w in canonical_words(rank, max_len):
-        if _is_power_word(w):
+        if len(w.syllables) <= 1:  # the identity or a power word
             continue
         for spec, g in groups:
             finding = _scan_pair(spec, g, w, auto_cap, budget)
@@ -134,12 +132,14 @@ def search_chiral(rank: int, max_len: int, max_order: int,
 def replay(record: dict, auto_cap: int = DEFAULT_AUTO_CAP,
            budget: int = DEFAULT_BUDGET) -> Tuple[bool, List[str]]:
     """Recompute a finding record from scratch; return (ok, mismatches)."""
-    try:
-        spec = record["group"]
-        word_text = record["word"]
-        arity = int(record["arity"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedRecordError(f"missing or bad field: {exc}") from None
+    fields = record if isinstance(record, dict) else {}
+    spec, word_text, arity = map(fields.get, ("group", "word", "arity"))
+    for key, kind, ok in (("group", "a string", isinstance(spec, str)),
+                          ("word", "a string", isinstance(word_text, str)),
+                          ("arity", "an integer", _is_int(arity))):
+        if not ok:
+            raise MalformedRecordError(
+                f"field {key!r} is missing or not {kind}")
     try:
         g = parse_group_spec(spec)
         w = parse_word(word_text, max(arity, 1))

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chiralwords
 from chiralwords import cli
@@ -58,6 +62,24 @@ def test_group_flags_follow_the_action(capsys, action):
             main(["group", *flags, *action])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "list", "--budget", "1"],
+    ["group", "list", "--auto-cap", "1"],
+    ["group", "show", "C4", "--budget", "1"],
+    ["group", "show", "C4", "--auto-cap", "1"],
+    ["group", "autos", "S3", "--budget", "1"],
+    ["image", "--group", "S3", "--word", "x1", "--auto-cap", "1"],
+    ["search", "--max-len", "2", "--max-order", "6", "--format", "structured"],
+    ["replay", "findings.jsonl", "--format", "structured"],
+])
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
 
 
 def test_image_command(capsys):
@@ -327,3 +349,56 @@ def test_python_m_chiralwords_runs_the_cli(capsys):
     assert (done.returncode, done.stdout, done.stderr) == \
         (code, out.encode(), err.encode())
     assert code == 0 and "C2xC2" in out
+
+
+@pytest.mark.parametrize("record, field", [
+    ({"group": 5, "word": "x1", "arity": 1}, "group"),
+    ({"group": ["S3"], "word": "x1", "arity": 2}, "group"),
+    ({"group": "S3", "word": 7, "arity": 1}, "word"),
+    ({"group": "S3", "word": "x1", "arity": True}, "arity"),
+    ({"group": "S3", "word": "x1 x2", "arity": 2.7}, "arity"),
+    ({"group": "S3", "word": "x1", "arity": "3"}, "arity"),
+])
+def test_replay_refuses_fields_of_the_wrong_type(capsys, tmp_path, record,
+                                                 field):
+    path = tmp_path / "typed.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    code, out, err = run(capsys, "replay", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: field '{field}' is ")
+
+
+# Replay input: group specs from an alphabet without '@' (so no file is
+# read), of at most 6 characters, with no Q or 4 (so no Aut(G) as large as
+# Aut(Q8xQ8) or Aut(C2^2 x D16) is enumerated); every JSON type in every
+# field, and lines that are not objects.
+SPECS = st.sampled_from(["S3", "D8", "A4"]) | st.text("ACDSx02368", max_size=6)
+WORDS = st.sampled_from(["x1", "x1 x2", "x1^2 x2^-1 x1"]) | \
+    st.text("x12^- ", max_size=8)
+OTHERS = (st.none() | st.booleans() | st.integers() | st.floats()
+          | st.lists(st.integers(-3, 3) | st.text("S3x1", max_size=3),
+                     max_size=3))
+
+
+def any_json(strings, ints=st.integers(-2, 4)):
+    return strings | ints | OTHERS
+
+
+RECORD = st.fixed_dictionaries(
+    {"group": any_json(SPECS), "word": any_json(WORDS),
+     "arity": any_json(SPECS, st.integers(-2, 4) | st.integers())})
+LINE = RECORD | OTHERS
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(LINE, min_size=1, max_size=3))
+def test_replay_of_any_json_lines_exits_cleanly(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["replay", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")

@@ -8,12 +8,13 @@ scan; `naive_image` stays the oracle for both paths. C7:C9 (b a b^-1 =
 a^2, order 63) carries the first real chiral and weakly chiral pairs.
 """
 
+import json
 import random
 
 import pytest
 
 from chiralwords import engine
-from chiralwords.catalog import catalog_groups
+from chiralwords.catalog import catalog_groups, catalog_specs
 from chiralwords.engine import image, naive_image, pair_verdicts, scan_tables
 from chiralwords.groups import (
     conjugacy_classes,
@@ -79,11 +80,54 @@ def test_both_scans_match_naive(spec, g):
         read = sorted({gen for gen, _ in w.syllables})
         scale = g.order ** (arity - len(read))
         assert image(g, w, arity, want_fibers=True)[1] == ref, (w, arity)
+        # A word reading one coordinate takes the power-table closed form,
+        # so only words reading two or more reach the scans.
         for scan in (engine._normal_scan, engine._class_scan):
-            counts = [c * scale for c in scan(tables, w, read)]
-            assert tuple(counts) == ref.counts, (scan.__name__, w, arity)
+            if len(read) >= 2:
+                counts = [c * scale for c in scan(tables, w, read)]
+                assert tuple(counts) == ref.counts, (scan.__name__, w, arity)
         n += 1
     assert n >= 17  # each nonidentity canonical word of rank 2, length <= 4
+
+
+@pytest.fixture
+def no_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a word reading one coordinate was scanned")
+
+    for name in ("_normal_scan", "_class_scan"):
+        monkeypatch.setattr(engine, name, refuse)
+
+
+def assert_powers_match_naive(g):
+    """x1^e for e = +-1..+-13 at arity 1 and 2, within 4,000 tuples: a power
+    map, whose fibers `image` reads off one power table on any group."""
+    cases = 0
+    for e in (sign * k for k in range(1, 14) for sign in (1, -1)):
+        w = parse_word(f"x1^{e}", 1)
+        for arity in (1, 2):
+            if g.order ** arity <= 4000:
+                assert image(g, w, arity, want_fibers=True) == \
+                    naive_image(g, w, arity), (g.name, e, arity)
+                cases += 1
+    assert cases == 52
+
+
+@pytest.mark.parametrize("spec", catalog_specs(60))
+def test_one_coordinate_words_take_the_power_table(spec, no_scan):
+    assert_powers_match_naive(parse_group_spec(spec))
+
+
+def test_one_coordinate_words_on_c7_c9_and_a_relabelled_s4_file(tmp_path,
+                                                                no_scan):
+    s4 = relabelled(parse_group_spec("S4"), 4)
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps({"name": "S4", "order": s4.order,
+                                "table": [list(row) for row in s4.table]}))
+    s4_file = parse_group_spec(f"@{path}")
+    assert s4_file.table != parse_group_spec("S4").table
+    for g in (C7_C9, s4_file):
+        assert_powers_match_naive(g)
 
 
 @pytest.mark.parametrize("spec,g", GROUPS, ids=[s for s, _ in GROUPS])

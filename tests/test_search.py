@@ -87,6 +87,23 @@ def test_replay_malformed_records():
         replay({"group": "S3", "word": "x@@", "arity": 2})
 
 
+# A field of the wrong JSON type is refused, never read as another value.
+WRONG_TYPES = [
+    ({"group": 5, "word": "x1", "arity": 1}, "group"),
+    ({"group": ["S3"], "word": "x1", "arity": 2}, "group"),
+    ({"group": "S3", "word": 7, "arity": 1}, "word"),
+    ({"group": "S3", "word": "x1", "arity": True}, "arity"),
+    ({"group": "S3", "word": "x1 x2", "arity": 2.7}, "arity"),
+    ({"group": "S3", "word": "x1", "arity": "3"}, "arity"),
+]
+
+
+@pytest.mark.parametrize("record, field", WRONG_TYPES)
+def test_replay_refuses_fields_of_the_wrong_type(record, field):
+    with pytest.raises(MalformedRecordError, match=f"field '{field}' is "):
+        replay(record)
+
+
 @pytest.mark.parametrize("word", ["x1^" + "1" * 5000, "x1 x" + "1" * 5000],
                          ids=["exponent", "index"])
 def test_replay_refuses_a_long_integer_in_the_word(word):
