@@ -10,30 +10,25 @@ subgroup A (`_normal_scan`: dihedral groups, Q8), or, where a cost
 estimate says that is dearer, from one first coordinate per conjugacy
 class, weighted by the class size, since fiber counts are class functions
 (`_class_scan`). Both skip coordinates the word does not read and evaluate
-blocks of tuples at once. The tables these paths read are built once per
-group (`scan_tables`). `naive_image` is the independent reference path.
+blocks of tuples at once. The tables these paths read are kept on the
+group (`FiniteGroup`). `naive_image` is the independent reference path.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
 from itertools import compress, product
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .groups import (
     ANTI_AUTOMORPHISM,
-    GROUP_CACHE_SIZE,
     AllGammas,
     FiniteGroup,
     GroupError,
     GroupMap,
     _closure,
-    conjugacy_classes,
-    element_orders,
-    is_abelian,
 )
 from .words import FreeAntiAuto, Word, apply_anti, render_word
 
@@ -99,6 +94,8 @@ def evaluate_twisted(g: FiniteGroup, w: Word, gamma: GroupMap,
 def _resolve_arity(w: Word, arity: Optional[int]) -> int:
     if arity is None:
         return w.rank
+    if arity < 0:
+        raise ValueError(f"arity {arity} is negative")
     if arity < w.support_rank:
         raise ValueError(
             f"arity {arity} below the word's largest generator "
@@ -121,98 +118,24 @@ def _check_budget(g: FiniteGroup, arity: int, budget: int) -> int:
     return total
 
 
-class AbelianNormal(NamedTuple):
-    """An abelian normal subgroup A of a group, with generators `gens`, the
-    membership mask `in_a` and a transversal: one element per coset A t."""
-
-    members: Tuple[int, ...]
-    gens: Tuple[int, ...]
-    in_a: Tuple[bool, ...]
-    transversal: Tuple[int, ...]
-
-
-class ScanTables:
-    """The per-group data every scan of g reads, built once per group.
-
-    `cols[c][v]` is v * c; `classes` are the conjugacy classes,
-    `abelian` is `is_abelian(g)` and `class_size` maps each
-    representative to its class's size. Power
-    tables are memoized by the exponent reduced mod exp(G), the lcm of the
-    element orders, since a^exp(G) = e for every a; so at most exp(G) <=
-    |G| of them are ever held. Every scan of g shares these, so the tables
-    are tuples. `normal`, the tuple blocks of `_normal_scan` (by number of
-    coordinates) and its subgroups of A (by generator set, at most
-    SUBGROUP_CACHE_SIZE) are built on first use.
-    """
-
-    def __init__(self, g: FiniteGroup):
-        self.group = g
-        self.cols = tuple(zip(*g.table))
-        self.classes = conjugacy_classes(g)
-        self.abelian = is_abelian(g)
-        self.class_size = {cls[0]: len(cls) for cls in self.classes}
-        self.exponent = math.lcm(*element_orders(g))
-        self.powers: Dict[int, Tuple[int, ...]] = {}
-        self.blocks: Dict[int, List[Tuple[int, ...]]] = {}
-        self.subgroups: Dict[frozenset, Tuple[int, ...]] = {}
-
-    def power_table(self, exp: int) -> Tuple[int, ...]:
-        """a^exp for every element a."""
-        k = exp % self.exponent
-        pows = self.powers.get(k)
-        if pows is None:
-            g = self.group
-            pows = self.powers[k] = tuple(g.power(a, k) for a in g.elements())
-        return pows
-
-    @functools.cached_property
-    def normal(self) -> AbelianNormal:
-        """An abelian normal subgroup grown greedily from the conjugacy
-        classes, smallest first (so it holds the centre): a subgroup made
-        of whole classes is normal, so a class joins when it commutes with
-        A and with itself."""
-        g, table = self.group, self.group.table
-        members, grown = {0}, []
-        for cls in sorted(self.classes, key=len):
-            if cls[0] not in members and all(
-                    table[x][y] == table[y][x]
-                    for x in cls for y in grown + list(cls)):
-                grown += cls
-                members = _closure(table, grown, 0)
-        orders = element_orders(g)
-        gens, span = [], {0}
-        for x in sorted(members, key=lambda x: (-orders[x], x)):
-            if x not in span:
-                gens.append(x)
-                span = _closure(table, gens, 0)
-        return AbelianNormal(  # T: the least element of each coset A x
-            tuple(sorted(members)), tuple(gens),
-            tuple(x in members for x in g.elements()),
-            tuple(x for x in g.elements()
-                  if min(table[a][x] for a in members) == x))
-
-    def normal_wins(self, k: int) -> bool:
-        """Whether `_normal_scan` beats `_class_scan` on k coordinates, by
-        their cost in word evaluations: |T|^k (1 + k gens(A)) against
-        k(G) |G|^(k-1). Timed on S3, Q8, D16, D24, A4 and S4, the first
-        loses at index above 3 (S4) and near a cost ratio of 1 (A4 at
-        k = 2), whence the bound and NORMAL_COST."""
-        t, gens = len(self.normal.transversal), len(self.normal.gens)
-        return t <= 3 and (NORMAL_COST * t ** k * (1 + k * gens)
-                           < len(self.classes) * self.group.order ** (k - 1))
-
-
-@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
-def scan_tables(g: FiniteGroup) -> ScanTables:
-    return ScanTables(g)
-
-
 # The most tuples of the trailing coordinates that one scan step covers.
 SCAN_BLOCK = 256
 # How many class-scan steps one word evaluation of `_normal_scan` costs.
 NORMAL_COST = 1.25
 # The most generator sets whose subgroup of A one group keeps.
 SUBGROUP_CACHE_SIZE = 1024
+
+
+def normal_wins(g: FiniteGroup, k: int) -> bool:
+    """Whether `_normal_scan` beats `_class_scan` on k coordinates, by
+    their cost in word evaluations: |T|^k (1 + k gens(A)) against
+    k(G) |G|^(k-1). Timed on S3, Q8, D16, D24, A4 and S4, the first
+    loses at index above 3 (S4) and near a cost ratio of 1 (A4 at
+    k = 2), whence the bound and NORMAL_COST."""
+    normal = g.abelian_normal
+    t, gens = len(normal.transversal), len(normal.gens)
+    return t <= 3 and (NORMAL_COST * t ** k * (1 + k * gens)
+                       < len(g.conjugacy_classes) * g.order ** (k - 1))
 
 
 def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
@@ -252,14 +175,13 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
     read = sorted({gen for gen, _ in w.syllables})
     if not read:  # the identity word: every tuple maps to the identity
         return [n ** arity] + [0] * (n - 1)
-    tables = scan_tables(g)
-    if tables.abelian or len(read) == 1:  # a homomorphism or a power map
+    if g.is_abelian or len(read) == 1:  # a homomorphism or a power map
         counts = [0] * n
         sums = dict.fromkeys(read, 0)
         for gen, exp in w.syllables:
             sums[gen] += exp
         scale = n ** (arity - 1)
-        for x in tables.power_table(math.gcd(*sums.values())):
+        for x in g.power_table(math.gcd(*sums.values())):
             counts[x] += scale
         return counts
     if g.factors is not None:  # G = A x B: N_w(a, b) = N_w^A(a) N_w^B(b)
@@ -268,17 +190,17 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
         return [x * y for x in _fiber_counts(a, w, arity, budget)
                 for y in counts_b]
     k = len(read)
-    scan = _normal_scan if tables.normal_wins(k) else _class_scan
-    counts = scan(tables, w, read)
+    scan = _normal_scan if normal_wins(g, k) else _class_scan
+    counts = scan(g, w, read)
     if arity > k:
         scale = n ** (arity - k)
         counts = [c * scale for c in counts]
     return counts
 
 
-def _normal_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
+def _normal_scan(g: FiniteGroup, w: Word, read: List[int]) -> List[int]:
     """Fiber counts of w over G^k, k = len(read) >= 2, from one tuple per
-    coset of A^k, for A = `tables.normal` abelian and normal in G.
+    coset of A^k, for A = `g.abelian_normal` abelian and normal in G.
 
     Write t_i = a_i s_i with a_i in A and s_i in the transversal T. Moving
     each a_i to the left conjugates it by elements that depend only on s,
@@ -288,29 +210,29 @@ def _normal_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
     H_s w(s) has |A|^k / |H_s| preimages in the coset. The block holds,
     per s in T^k, s and those k gens(A) neighbours; all are evaluated at
     once, one list comprehension per syllable, and the H_s closures are
-    kept per group by generator set, since few subgroups of A recur.
+    kept with A by generator set, since few subgroups of A recur.
     """
-    g, table, cols = tables.group, tables.group.table, tables.cols
-    a_group = tables.normal
+    table, cols = g.table, g.columns
+    a_group = g.abelian_normal
     k = len(read)
-    block = tables.blocks.get(k)
+    block = a_group.blocks.get(k)
     if block is None:
         rows = []
         for s in product(a_group.transversal, repeat=k):
             rows.append(s)
             rows += [s[:i] + (table[a][s[i]],) + s[i + 1:]
                      for i in range(k) for a in a_group.gens]
-        block = tables.blocks[k] = list(zip(*rows))
+        block = a_group.blocks[k] = list(zip(*rows))
     slot = {gen: i for i, gen in enumerate(read)}
     (gen, exp), *rest = w.syllables
-    pows = tables.power_table(exp)
+    pows = g.power_table(exp)
     vals = [pows[x] for x in block[slot[gen]]]
     for gen, exp in rest:
-        pows = tables.power_table(exp)
+        pows = g.power_table(exp)
         vals = [table[v][pows[x]] for v, x in zip(vals, block[slot[gen]])]
     counts = [0] * g.order
     whole = len(a_group.members) ** k
-    subgroups, inverses = tables.subgroups, g.inverses
+    subgroups, inverses = a_group.subgroups, g.inverses
     stride = 1 + k * len(a_group.gens)
     for j in range(0, len(vals), stride):
         ws = vals[j]
@@ -329,7 +251,7 @@ def _normal_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
     return counts
 
 
-def _class_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
+def _class_scan(g: FiniteGroup, w: Word, read: List[int]) -> List[int]:
     """Fiber counts of w over G^k, k = len(read) >= 2, from one first
     coordinate per conjugacy class.
 
@@ -346,7 +268,6 @@ def _class_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
     the first one that reads the block give a prefix that is constant
     across it.
     """
-    g = tables.group
     n, table = g.order, g.table
     counts = [0] * n
     k = len(read)
@@ -360,14 +281,14 @@ def _class_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
     sylls = []
     for gen, exp in w.syllables:
         c = slot[gen]
-        pows = tables.power_table(exp)
+        pows = g.power_table(exp)
         if c >= inner:
             pows = [pows[t[c - inner]] for t in block]
         sylls.append((c, pows))
     s = next(j for j, (c, _) in enumerate(sylls) if c >= inner)
     head, first_pows, tail = sylls[:s], sylls[s][1], sylls[s + 1:]
-    cols = tables.cols
-    class_size = tables.class_size
+    cols = g.columns
+    class_size = g.class_size
     for tup in product(class_size, *[range(n)] * (inner - 1)):
         p = 0
         for c, pows in head:
@@ -383,7 +304,7 @@ def _class_scan(tables: ScanTables, w: Word, read: List[int]) -> List[int]:
         weight = class_size[tup[0]]
         for v in vec:
             counts[v] += weight
-    for cls in tables.classes:
+    for cls in g.conjugacy_classes:
         if len(cls) > 1:
             share, rest = divmod(sum(counts[x] for x in cls), len(cls))
             assert not rest, "fiber counts are class functions"
@@ -489,8 +410,9 @@ def weak_verdict_from_counts(g: FiniteGroup, counts: Sequence[int],
     """Witness x with counts_w[x] != counts_{w_gamma}[x], or None.
 
     Uses the fiber identity counts_{w_gamma}[x] = counts_w[gamma^-1(x)];
-    gamma_inverse is the image array of gamma^-1. Given the orbit minima
-    (`automorphism_orbit_minima`) instead, None says N_w is orbit-constant."""
+    gamma_inverse is the image array of gamma^-1. Given the Aut(G)-orbit
+    minima (`AllGammas.orbit_minima`) instead, None says N_w is
+    orbit-constant."""
     for x in g.elements():
         if counts[x] != counts[gamma_inverse[x]]:
             return x

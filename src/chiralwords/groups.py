@@ -13,6 +13,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import operator
 import os
 import re
@@ -30,10 +31,8 @@ MAX_AUTOMORPHISMS = 2 ** 15
 MAX_GROUP_FILE_BYTES = 16 * DEFAULT_ORDER_CAP ** 2
 # Distinct group-file contents kept parsed and validated per process.
 FILE_CACHE_SIZE = 16
-# Groups each of the 8 per-group caches (built-in specs, element orders,
-# classes, search generators, automorphisms, anti-automorphisms, orbit
-# minima, scan tables) keeps; the catalog at order <= 32 has 55 groups, so
-# `verify` and `search` never evict.
+# Entries per LRU: built-in groups by spec, and Aut(G) and AA(G) by (group,
+# cap). The catalog at order <= 32 has 55 groups, so none evicts.
 GROUP_CACHE_SIZE = 64
 
 AUTOMORPHISM = "automorphism"
@@ -52,9 +51,29 @@ class CapExceededError(GroupError):
     """A configured order/automorphism cap was exceeded."""
 
 
+class _fact(functools.cached_property):
+    """A cached_property that keeps CPython 3.11's fast attribute layout:
+    instances share one table of attribute names, which stops growing once
+    a few dozen exist, and a value written through __dict__ or under a name
+    not in it moves the instance's attributes to a dict about 2x slower to
+    read. So the name enters the table with the class."""
+
+    def __set_name__(self, owner, name):
+        functools.cached_property.__set_name__(self, owner, name)
+        object.__setattr__(object.__new__(owner), name, None)
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return super().__get__(instance, owner)
+        value = self.func(instance)
+        object.__setattr__(instance, self.attrname, value)
+        return value
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Group given by its full multiplication table; identity is index 0."""
+    """Group given by its full multiplication table; identity is index 0.
+    Facts every check reads are computed on first use and kept on it."""
 
     name: str
     order: int
@@ -66,10 +85,12 @@ class FiniteGroup:
     # tables compare equal whatever their factors.
     factors: Optional[Tuple["FiniteGroup", "FiniteGroup"]] = field(
         default=None, compare=False, repr=False)
-    # Hashing the table costs O(|G|^2), and every per-group cache lookup
+    # Hashing the table costs O(|G|^2), and every group-keyed LRU lookup
     # hashes the group, so the hash is computed on the first lookup and kept.
     _hash: Optional[int] = field(default=None, init=False, compare=False,
                                  repr=False)
+    _powers: Dict[int, Tuple[int, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -97,6 +118,132 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @_fact
+    def element_orders(self) -> Tuple[int, ...]:
+        orders = []
+        for a in self.elements():
+            x, k = a, 1
+            while x != 0:
+                x = self.table[x][a]
+                k += 1
+            orders.append(k)
+        return tuple(orders)
+
+    @_fact
+    def conjugacy_classes(self) -> Tuple[Tuple[int, ...], ...]:
+        """The conjugacy classes, each sorted, ordered by least element; so
+        each class's first element is its representative. O(|G|^2)."""
+        table, inverses = self.table, self.inverses
+        seen = [False] * self.order
+        classes = []
+        for x in self.elements():
+            if seen[x]:
+                continue
+            cls = sorted({table[table[a][x]][inverses[a]]
+                          for a in self.elements()})
+            for y in cls:
+                seen[y] = True
+            classes.append(tuple(cls))
+        return tuple(classes)
+
+    @_fact
+    def class_size(self) -> Dict[int, int]:
+        """Each class representative -> the size of its class."""
+        return {cls[0]: len(cls) for cls in self.conjugacy_classes}
+
+    @_fact
+    def is_abelian(self) -> bool:
+        """Whether every conjugacy class is a singleton."""
+        return len(self.conjugacy_classes) == self.order
+
+    @_fact
+    def exponent(self) -> int:
+        """exp(G), the lcm of the element orders: a^exp(G) = e for all a."""
+        return math.lcm(*self.element_orders)
+
+    @_fact
+    def columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """`columns[c][v]` is v * c."""
+        return tuple(zip(*self.table))
+
+    def power_table(self, k: int) -> Tuple[int, ...]:
+        """a^k for every element a, memoized by k reduced mod exp(G); so at
+        most exp(G) <= |G| tables are ever held."""
+        k %= self.exponent
+        if k not in self._powers:
+            self._powers[k] = tuple(self.power(a, k) for a in self.elements())
+        return self._powers[k]
+
+    @_fact
+    def profiles(self) -> Tuple[Tuple[int, int], ...]:
+        """Each element's (order, class size); isomorphisms keep both."""
+        size = {x: len(cls) for cls in self.conjugacy_classes for x in cls}
+        return tuple((k, size[x]) for x, k in enumerate(self.element_orders))
+
+    @_fact
+    def search_generators(self) -> Tuple[int, ...]:
+        """Generators for the image search and the law check: each is the
+        element growing <gens> most, ties going to the fewest elements of
+        its profile, then to the lowest index. An element of <gens, b>, for
+        a b ranked before it, grows <gens> no more than b and loses the
+        tie, so it is skipped."""
+        profiles = self.profiles
+        counts = collections.Counter(profiles)
+        ranked = sorted(self.elements(), key=lambda a: (counts[profiles[a]], a))
+        gens: List[int] = []
+        generated = {0}
+        while len(generated) < self.order:
+            best, covered = generated, set(generated)
+            for a in ranked:
+                if a not in covered:
+                    grown = _closure(self.table, gens + [a], 0)
+                    covered |= grown
+                    if len(grown) > len(best):
+                        best, pick = grown, a
+            gens.append(pick)
+            generated = best
+        return tuple(gens)
+
+    @_fact
+    def abelian_normal(self) -> "AbelianNormal":
+        """An abelian normal subgroup grown greedily from the conjugacy
+        classes, smallest first (so it holds the centre): a subgroup made
+        of whole classes is normal, so a class joins when it commutes with
+        A and with itself."""
+        table = self.table
+        members, grown = {0}, []
+        for cls in sorted(self.conjugacy_classes, key=len):
+            if cls[0] not in members and all(
+                    table[x][y] == table[y][x]
+                    for x in cls for y in grown + list(cls)):
+                grown += cls
+                members = _closure(table, grown, 0)
+        orders = self.element_orders
+        gens, span = [], {0}
+        for x in sorted(members, key=lambda x: (-orders[x], x)):
+            if x not in span:
+                gens.append(x)
+                span = _closure(table, gens, 0)
+        return AbelianNormal(  # T: the least element of each coset A x
+            tuple(sorted(members)), tuple(gens),
+            tuple(x in members for x in self.elements()),
+            tuple(x for x in self.elements()
+                  if min(table[a][x] for a in members) == x))
+
+
+@dataclass
+class AbelianNormal:
+    """An abelian normal subgroup A with generators `gens`, membership mask
+    `in_a`, a transversal (one element per coset A t), and `_normal_scan`'s
+    tuple blocks by coordinate count and closures by generator set."""
+
+    members: Tuple[int, ...]
+    gens: Tuple[int, ...]
+    in_a: Tuple[bool, ...]
+    transversal: Tuple[int, ...]
+    blocks: Dict[int, List[Tuple[int, ...]]] = field(default_factory=dict)
+    subgroups: Dict[frozenset, Tuple[int, ...]] = field(default_factory=dict)
 
 
 def _build_group(name: str, table: Sequence[Sequence[int]],
@@ -531,49 +678,14 @@ def parse_group_spec(spec: str) -> FiniteGroup:
 
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _built_in_group(spec: str) -> FiniteGroup:
+    """A family group, or a product of factors built through this cache."""
     parts = spec.split("x")
     if not all(part.strip() for part in parts):
         raise GroupSpecError(f"group spec {spec!r} has an empty factor")
-    group = build_family(parts[0])
-    for part in parts[1:]:
-        group = direct_product(group, build_family(part))
-    return group
-
-
-# --- element utilities ----------------------------------------------------
-
-@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
-def element_orders(g: FiniteGroup) -> Tuple[int, ...]:
-    orders = []
-    for a in g.elements():
-        x, k = a, 1
-        while x != 0:
-            x = g.mul(x, a)
-            k += 1
-        orders.append(k)
-    return tuple(orders)
-
-
-def is_abelian(g: FiniteGroup) -> bool:
-    """Whether every conjugacy class is a singleton."""
-    return len(conjugacy_classes(g)) == g.order
-
-
-@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
-def conjugacy_classes(g: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
-    """The conjugacy classes of g, each sorted, ordered by least element;
-    so each class's first element is its representative. O(|G|^2)."""
-    table, inverses = g.table, g.inverses
-    seen = [False] * g.order
-    classes = []
-    for x in g.elements():
-        if seen[x]:
-            continue
-        cls = sorted({table[table[a][x]][inverses[a]] for a in g.elements()})
-        for y in cls:
-            seen[y] = True
-        classes.append(tuple(cls))
-    return tuple(classes)
+    if len(parts) == 1:
+        return build_family(spec)
+    return direct_product(_built_in_group("x".join(parts[:-1]).strip()),
+                          _built_in_group(parts[-1].strip()))
 
 
 # --- automorphisms and anti-automorphisms ---------------------------------
@@ -609,7 +721,7 @@ class GroupMap:
         if self.kind not in (AUTOMORPHISM, ANTI_AUTOMORPHISM):
             raise GroupError(f"unknown map kind {self.kind!r}")
         table, anti = g.table, self.kind == ANTI_AUTOMORPHISM
-        for a in _search_generators(g):
+        for a in g.search_generators:
             fa = images[a]
             if [images[row[a]] for row in table] != [
                     table[fa][fx] if anti else table[fx][fa] for fx in images]:
@@ -704,36 +816,6 @@ def _closure(table: Sequence[Sequence[int]], gens: Sequence[int],
     return seen
 
 
-def _profiles(g: FiniteGroup) -> Tuple[Tuple[int, int], ...]:
-    """Each element's (order, conjugacy-class size); isomorphisms keep both."""
-    size = {x: len(cls) for cls in conjugacy_classes(g) for x in cls}
-    return tuple((k, size[x]) for x, k in enumerate(element_orders(g)))
-
-
-@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
-def _search_generators(g: FiniteGroup) -> Tuple[int, ...]:
-    """Generators for the image search and the law check: each is the element
-    growing <gens> most, ties going to the fewest elements of its profile,
-    then to the lowest index. An element of <gens, b>, for a b ranked before
-    it, grows <gens> no more than b and loses the tie, so it is skipped."""
-    profiles = _profiles(g)
-    counts = collections.Counter(profiles)
-    ranked = sorted(g.elements(), key=lambda a: (counts[profiles[a]], a))
-    gens: List[int] = []
-    generated = {0}
-    while len(generated) < g.order:
-        best, covered = generated, set(generated)
-        for a in ranked:
-            if a not in covered:
-                grown = _closure(g.table, gens + [a], 0)
-                covered |= grown
-                if len(grown) > len(best):
-                    best, pick = grown, a
-        gens.append(pick)
-        generated = best
-    return tuple(gens)
-
-
 def _extend_map(g: FiniteGroup, h: FiniteGroup, gens: Sequence[int],
                 images: Sequence[int]) -> Optional[dict]:
     """Grow the map <gens> -> h determined by generator images.
@@ -768,8 +850,8 @@ def _extend_map(g: FiniteGroup, h: FiniteGroup, gens: Sequence[int],
 def _image_search(g: FiniteGroup, h: FiniteGroup, first_only: bool) -> List[Tuple[int, ...]]:
     """Backtrack over generator images drawn from the elements of h with
     their profile; yields full bijective image arrays."""
-    gens = _search_generators(g)
-    g_profiles, h_profiles = _profiles(g), _profiles(h)
+    gens = g.search_generators
+    g_profiles, h_profiles = g.profiles, h.profiles
     candidates = [[c for c in h.elements() if h_profiles[c] == g_profiles[a]]
                   for a in gens]
     results: List[Tuple[int, ...]] = []
@@ -811,7 +893,7 @@ def enumerate_automorphisms(g: FiniteGroup,
 
 class AllGammas(tuple):
     """Every anti-automorphism of a group, in enumeration order, carrying
-    `orbit_minima`, the group's `automorphism_orbit_minima`.
+    `orbit_minima`, the least element of each element's Aut(G)-orbit.
 
     Only `enumerate_anti_automorphisms` makes one: any other sequence of
     gammas, even one built from these, is a plain tuple or list."""
@@ -823,19 +905,10 @@ class AllGammas(tuple):
 def enumerate_anti_automorphisms(g: FiniteGroup,
                                  cap: int = DEFAULT_AUTO_CAP) -> AllGammas:
     """All anti-automorphisms, via the bijection with automorphisms."""
-    gammas = AllGammas(anti_from_auto(zeta)
-                       for zeta in enumerate_automorphisms(g, cap))
-    gammas.orbit_minima = automorphism_orbit_minima(g, cap)
-    return gammas
-
-
-@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
-def automorphism_orbit_minima(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP
-                              ) -> Tuple[int, ...]:
-    """For each element x, the least element of its Aut(G)-orbit: the min
-    over zeta of zeta(x). O(|Aut(G)| |G|)."""
     autos = enumerate_automorphisms(g, cap)
-    return tuple(map(min, zip(*(zeta.images for zeta in autos))))
+    gammas = AllGammas(anti_from_auto(zeta) for zeta in autos)
+    gammas.orbit_minima = tuple(map(min, zip(*[z.images for z in autos])))
+    return gammas
 
 
 def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
@@ -845,6 +918,6 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
             f"orders {g.order}, {h.order} exceed isomorphism cap {cap}")
     if g.order != h.order:
         return False
-    if sorted(_profiles(g)) != sorted(_profiles(h)):
+    if sorted(g.profiles) != sorted(h.profiles):
         return False
     return bool(_image_search(g, h, first_only=True))

@@ -24,8 +24,7 @@ from .groups import (
     CapExceededError,
     FiniteGroup,
     _is_int,
-    automorphism_orbit_minima,
-    is_abelian,
+    enumerate_anti_automorphisms,
     parse_group_spec,
 )
 from .verify import canonical_words
@@ -92,7 +91,7 @@ def _scan_pair(spec: str, g: FiniteGroup, w: Word, auto_cap: int,
     # and weak verdicts and maps G_w onto (G_w)^-1.
     gammas_agree: Optional[bool]
     try:
-        rep = automorphism_orbit_minima(g, auto_cap)
+        rep = enumerate_anti_automorphisms(g, auto_cap).orbit_minima
     except CapExceededError:  # Aut(G) not enumerated: agreement unknown
         gammas_agree = None
     else:
@@ -118,7 +117,7 @@ def search_chiral(rank: int, max_len: int, max_order: int,
     highlighted) findings are yielded; `full` yields every scanned pair.
     """
     groups = [(spec, g) for spec, g in catalog_groups(max_order, families)
-              if not is_abelian(g)]
+              if not g.is_abelian]
     for w in canonical_words(rank, max_len):
         if len(w.syllables) <= 1:  # the identity or a power word
             continue
@@ -136,15 +135,19 @@ def replay(record: dict, auto_cap: int = DEFAULT_AUTO_CAP,
     spec, word_text, arity = map(fields.get, ("group", "word", "arity"))
     for key, kind, ok in (("group", "a string", isinstance(spec, str)),
                           ("word", "a string", isinstance(word_text, str)),
-                          ("arity", "an integer", _is_int(arity))):
+                          ("arity", "an integer of at least 1",
+                           _is_int(arity) and arity >= 1)):
         if not ok:
             raise MalformedRecordError(
                 f"field {key!r} is missing or not {kind}")
     try:
         g = parse_group_spec(spec)
-        w = parse_word(word_text, max(arity, 1))
+        w = parse_word(word_text, arity)
     except ValueError as exc:
         raise MalformedRecordError(str(exc)) from None
+    if not fields.keys() & {"chiral", "weakly_chiral", "image_size"}:
+        raise MalformedRecordError("the record states no verdict: none of "
+                                   "'chiral', 'weakly_chiral', 'image_size'")
     fresh = _scan_pair(spec, g, w, auto_cap, budget).to_record()
     mismatches = []
     for key in ("order", "chiral", "weakly_chiral", "gammas_agree",

@@ -19,10 +19,10 @@ from chiralwords.engine import (
     image,
     naive_image,
 )
-from chiralwords.groups import is_abelian, parse_group_spec
+from chiralwords.groups import parse_group_spec
 from chiralwords.words import parse_word
 
-ABELIAN = [spec for spec, g in catalog_groups(32) if is_abelian(g)]
+ABELIAN = [spec for spec, g in catalog_groups(32) if g.is_abelian]
 
 # (word, rank): the identity word, exponent sums all 0, gcds that share a
 # factor with exp(G) on some groups, a word that skips x1, and gcd 1.

@@ -20,10 +20,8 @@ from chiralwords.groups import (
     anti_from_auto,
     auto_from_anti,
     build_family,
-    element_orders,
     enumerate_automorphisms,
     identity_map,
-    is_abelian,
     parse_group_spec,
     validate_group,
 )
@@ -113,7 +111,7 @@ def test_criterion_06_abelian_achirality():
     words = canonical_words(2, 5)
     ok = True
     for spec, g in catalog_groups(32):
-        if not is_abelian(g):
+        if not g.is_abelian:
             continue
         inversion = [anti_from_auto(identity_map(g))]
         for w in words:
@@ -154,7 +152,7 @@ def test_criterion_07_word_core_properties():
 
 
 def _naive_automorphism_count(g: FiniteGroup) -> int:
-    orders = element_orders(g)
+    orders = g.element_orders
     n = g.order
     candidates = [[b for b in range(n) if orders[b] == orders[a]]
                   for a in range(n)]

@@ -22,7 +22,6 @@ from chiralwords.groups import (
     GroupError,
     GroupMap,
     anti_from_auto,
-    element_orders,
     enumerate_automorphisms,
     from_cayley_document,
     is_isomorphic,
@@ -66,7 +65,7 @@ def reference_isomorphisms(g: FiniteGroup, h: FiniteGroup):
     for a in g.elements():
         if a not in generated(g, gens):
             gens.append(a)
-    g_orders, h_orders = element_orders(g), element_orders(h)
+    g_orders, h_orders = g.element_orders, h.element_orders
     found = []
 
     def rec(chosen):
@@ -125,8 +124,8 @@ def test_known_automorphism_group_orders(spec, count):
 
 def test_a5_search_uses_two_generators():
     g = parse_group_spec("A5")
-    gens = groups._search_generators(g)
-    assert sorted(element_orders(g)[a] for a in gens) == [2, 5]
+    gens = g.search_generators
+    assert sorted(g.element_orders[a] for a in gens) == [2, 5]
 
 
 def test_profiles_reject_before_any_search(monkeypatch):
@@ -135,7 +134,7 @@ def test_profiles_reject_before_any_search(monkeypatch):
 
     monkeypatch.setattr(groups, "_image_search", no_search)
     c4c4, q8c2 = parse_group_spec("C4xC4"), parse_group_spec("Q8xC2")
-    assert sorted(element_orders(c4c4)) == sorted(element_orders(q8c2))
+    assert sorted(c4c4.element_orders) == sorted(q8c2.element_orders)
     assert not is_isomorphic(c4c4, q8c2)
 
 

@@ -22,7 +22,6 @@ from chiralwords.engine import (
 )
 from chiralwords.groups import (
     build_family,
-    conjugacy_classes,
     identity_map,
     inversion_map,
     parse_group_spec,
@@ -67,7 +66,7 @@ def assert_matches_naive(g, w, arity):
                                   "C6", "C2xC2"])
 def test_conjugacy_classes_partition_and_are_closed(spec):
     g = parse_group_spec(spec)
-    classes = conjugacy_classes(g)
+    classes = g.conjugacy_classes
     members = sorted(x for cls in classes for x in cls)
     assert members == list(g.elements())
     assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
@@ -83,7 +82,7 @@ def test_conjugacy_classes_partition_and_are_closed(spec):
     ("C7", 7),
 ])
 def test_conjugacy_class_counts(spec, count):
-    assert len(conjugacy_classes(parse_group_spec(spec))) == count
+    assert len(parse_group_spec(spec).conjugacy_classes) == count
 
 
 @pytest.mark.parametrize("spec", catalog_specs(24))
@@ -106,7 +105,7 @@ def test_class_scan_matches_naive_on_relabelled_cayley_file(tmp_path):
     path.write_text(json.dumps({"order": base.order, "table": table}))
     g = parse_group_spec(f"@{path}")
     assert g.table != base.table
-    assert len(conjugacy_classes(g)) == 5
+    assert len(g.conjugacy_classes) == 5
     for w, arity in small_cases(g):
         assert_matches_naive(g, w, arity)
     rng = random.Random(5)

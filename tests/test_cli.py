@@ -202,6 +202,28 @@ def test_huge_arity_exits_3_at_once(capsys):
     assert "exceed budget" in err and len(err) < 200
 
 
+def test_negative_arity_is_named_negative(capsys):
+    code, out, err = run(capsys, "image", "--group", "S3", "--word", "e",
+                         "--arity", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: arity -1 is negative\n"
+
+
+@pytest.mark.parametrize("record, field", [
+    ({"group": "S3", "word": "x1", "arity": -1, "chiral": False}, "'arity'"),
+    ({"group": "S3", "word": "x1", "arity": 0, "chiral": False}, "'arity'"),
+    ({"group": "S3", "word": "x1", "arity": 100}, "'chiral'"),
+    ({"group": "S3", "word": "x1 x2", "arity": 2, "order": 6}, "'chiral'"),
+])
+def test_replay_refuses_a_record_that_checks_nothing(capsys, tmp_path,
+                                                     record, field):
+    path = tmp_path / "empty.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    code, out, err = run(capsys, "replay", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and field in err
+
+
 def test_repeated_queries_give_identical_output(capsys):
     outputs = set()
     for _ in range(2):

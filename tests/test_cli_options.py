@@ -49,7 +49,7 @@ def test_every_command_is_run_below():
 def test_every_option_is_read(name, tmp_path, monkeypatch, capsys):
     records = tmp_path / "records.jsonl"
     records.write_text(json.dumps({"group": "S3", "word": "x1 x2",
-                                   "arity": 2}) + "\n")
+                                   "arity": 2, "chiral": False}) + "\n")
     argv = [str(records) if a is RECORDS else a for a in COMMANDS[name]]
     reads = set()
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import itertools
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +23,6 @@ from chiralwords.groups import (
     auto_from_anti,
     build_family,
     direct_product,
-    element_orders,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
     find_identity,
@@ -27,7 +30,6 @@ from chiralwords.groups import (
     from_permutation_generators,
     identity_map,
     inner_automorphism,
-    is_abelian,
     is_isomorphic,
     parse_group_spec,
     validate_group,
@@ -46,7 +48,7 @@ NONASSOC_LOOP = [
 
 def naive_automorphisms(g: FiniteGroup):
     """Order-profile-filtered scan over all identity-fixing permutations."""
-    orders = element_orders(g)
+    orders = g.element_orders
     n = g.order
     found = []
     for perm in itertools.permutations(range(1, n)):
@@ -65,19 +67,19 @@ def test_cyclic():
     c4 = build_family("C4")
     assert c4.order == 4
     assert c4.table[1][3] == 0
-    assert element_orders(c4) == (1, 4, 2, 4)
+    assert c4.element_orders == (1, 4, 2, 4)
 
 
 def test_dihedral_order_convention():
     d6 = build_family("D6")
     assert d6.order == 6
-    assert not is_abelian(d6)
+    assert not d6.is_abelian
     assert is_isomorphic(d6, build_family("S3"))
 
 
 def test_quaternion_orders():
     q8 = build_family("Q8")
-    orders = sorted(element_orders(q8))
+    orders = sorted(q8.element_orders)
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
@@ -86,7 +88,7 @@ def test_symmetric_and_alternating():
     assert s4.order == 24
     a4 = build_family("A4")
     assert a4.order == 12
-    assert sorted(element_orders(a4)).count(3) == 8
+    assert sorted(a4.element_orders).count(3) == 8
 
 
 @pytest.mark.parametrize("spec", ["D5", "D2", "S6", "S1", "A2", "A6", "C0",
@@ -107,7 +109,7 @@ def test_families_validate():
 def test_klein_four():
     v = direct_product(build_family("C2"), build_family("C2"))
     assert v.order == 4
-    assert all(o == 2 for o in element_orders(v)[1:])
+    assert all(o == 2 for o in v.element_orders[1:])
 
 
 def test_product_identity_and_iso():
@@ -137,7 +139,7 @@ def test_cayley_document_valid():
            "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
     g = from_cayley_document(doc)
     assert g.order == 3
-    assert element_orders(g) == (1, 3, 3)
+    assert g.element_orders == (1, 3, 3)
 
 
 def test_cayley_document_broken_associativity():
@@ -232,7 +234,7 @@ def test_inner_automorphisms():
     for a in c6.elements():
         assert inner_automorphism(c6, a).images == identity_map(c6).images
     # conjugation permutes the set of transpositions
-    orders = element_orders(s3)
+    orders = s3.element_orders
     transpositions = {x for x in s3.elements() if orders[x] == 2}
     for a in s3.elements():
         conj = inner_automorphism(s3, a)
@@ -300,8 +302,8 @@ def test_group_map_rejects_wrong_kind():
 # --- utilities ----------------------------------------------------------------------
 
 def test_utilities():
-    assert is_abelian(build_family("C12"))
-    assert not is_abelian(build_family("S4"))
+    assert build_family("C12").is_abelian
+    assert not build_family("S4").is_abelian
     assert is_isomorphic(build_family("D6"), build_family("S3"))
     assert not is_isomorphic(build_family("C4"), parse_group_spec("C2xC2"))
     assert not is_isomorphic(build_family("Q8"), build_family("D8"))
@@ -509,3 +511,69 @@ def test_group_specs_give_a_group_or_a_group_error(spec):
             a, b = h.factors
             assert a.order * b.order == h.order, spec
             groups += [a, b]
+
+
+# Group files: Cayley documents (fields of every JSON type, non-square and
+# non-group tables, relabelled valid tables with an entry, the order or the
+# labels perhaps spoiled) and `perm-gens` documents on at most 4 points.
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 600) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6)
+SMALL_GROUPS = [build_family(s) for s in ("C1", "C2", "C3", "C4", "D4", "S3")]
+
+
+@st.composite
+def relabelled_cayley(draw):
+    g = draw(st.sampled_from(SMALL_GROUPS))
+    n = g.order
+    perm = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a in g.elements():
+        for b in g.elements():
+            table[perm[a]][perm[b]] = perm[g.table[a][b]]
+    if draw(st.booleans()):  # spoil one entry
+        row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[row][col] = draw(st.integers(-1, n) | JSON_VALUE)
+    doc = {"order": draw(st.sampled_from([n, n, n + 1, 0])), "table": table}
+    labels = draw(st.none() | st.lists(st.text("ab", max_size=2),
+                                       min_size=n, max_size=n) | JSON_VALUE)
+    if labels is not None:
+        doc["labels"] = labels
+    return doc
+
+
+def square_or_not(draw_rows):
+    return st.lists(draw_rows, max_size=4).map(
+        lambda t: {"order": len(t), "table": t})
+
+
+CAYLEY_DOC = st.one_of(
+    relabelled_cayley(),
+    square_or_not(st.lists(st.integers(-1, 4), max_size=4)),
+    st.fixed_dictionaries({"order": JSON_VALUE, "table": JSON_VALUE}))
+PERM = st.integers(0, 4).flatmap(lambda k: st.permutations(range(k)))
+PERM_DOC = st.fixed_dictionaries({"perm-gens": st.lists(
+    PERM | st.lists(st.integers(-1, 4), max_size=4), max_size=3)
+    | JSON_VALUE})
+GROUP_DOC = st.tuples(st.one_of(CAYLEY_DOC, PERM_DOC),
+                      st.none() | st.text(max_size=3) | JSON_VALUE).map(
+    lambda pair: pair[0] if pair[1] is None else dict(pair[0], name=pair[1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(GROUP_DOC)
+def test_group_show_of_any_group_file_exits_0_or_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "group.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["group", "show", f"@{path}"])
+    assert code in (0, 2), doc
+    if code == 2:
+        assert err.getvalue().startswith("error: "), doc
+    else:
+        assert out.getvalue() and not err.getvalue()

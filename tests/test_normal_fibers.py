@@ -15,19 +15,17 @@ import pytest
 
 from chiralwords import engine
 from chiralwords.catalog import catalog_groups, catalog_specs
-from chiralwords.engine import image, naive_image, pair_verdicts, scan_tables
+from chiralwords.engine import image, naive_image, pair_verdicts
 from chiralwords.groups import (
-    conjugacy_classes,
     enumerate_anti_automorphisms,
     from_cayley_document,
-    is_abelian,
     parse_group_spec,
 )
 from chiralwords.words import canonical_words, parse_word
 
 CAP = 30000
 NONABELIAN = [(spec, g) for spec, g in catalog_groups(32)
-              if not is_abelian(g)]
+              if not g.is_abelian]
 RANK3 = ["x1 x2 x3", "x1^2 x3^-1 x2 x1", "x1 x2 x3 x1^-1 x2^-1 x3^-1",
          "x3^2 x1^-3 x2"]
 
@@ -73,7 +71,6 @@ def cases(g):
 
 @pytest.mark.parametrize("spec,g", GROUPS, ids=[s for s, _ in GROUPS])
 def test_both_scans_match_naive(spec, g):
-    tables = scan_tables(g)
     n = 0
     for w, arity in cases(g):
         _, ref = naive_image(g, w, arity)
@@ -84,7 +81,7 @@ def test_both_scans_match_naive(spec, g):
         # so only words reading two or more reach the scans.
         for scan in (engine._normal_scan, engine._class_scan):
             if len(read) >= 2:
-                counts = [c * scale for c in scan(tables, w, read)]
+                counts = [c * scale for c in scan(g, w, read)]
                 assert tuple(counts) == ref.counts, (scan.__name__, w, arity)
         n += 1
     assert n >= 17  # each nonidentity canonical word of rank 2, length <= 4
@@ -132,12 +129,12 @@ def test_one_coordinate_words_on_c7_c9_and_a_relabelled_s4_file(tmp_path,
 
 @pytest.mark.parametrize("spec,g", GROUPS, ids=[s for s, _ in GROUPS])
 def test_the_subgroup_is_abelian_normal_and_its_cosets_tile_g(spec, g):
-    a_group = scan_tables(g).normal
+    a_group = g.abelian_normal
     members = set(a_group.members)
     table = g.table
     assert {table[x][y] for x in members for y in members} == members
     assert all(table[x][y] == table[y][x] for x in members for y in members)
-    for cls in conjugacy_classes(g):
+    for cls in g.conjugacy_classes:
         assert set(cls) <= members or not set(cls) & members, cls
     assert a_group.in_a == tuple(x in members for x in g.elements())
     assert set(a_group.gens) <= members
@@ -150,9 +147,9 @@ def test_the_subgroup_is_abelian_normal_and_its_cosets_tile_g(spec, g):
 def test_routing(monkeypatch):
     taken = []
     for name in ("_normal_scan", "_class_scan"):
-        def spy(tables, *args, scan=getattr(engine, name), name=name):
-            taken.append((tables.group.name, name))
-            return scan(tables, *args)
+        def spy(g, *args, scan=getattr(engine, name), name=name):
+            taken.append((g.name, name))
+            return scan(g, *args)
         monkeypatch.setattr(engine, name, spy)
 
     def path(g, rank):
@@ -206,14 +203,14 @@ def test_real_positive_verdicts_on_c7_c9(text, chiral, weakly_chiral, size):
 def test_subgroup_cache_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(engine, "SUBGROUP_CACHE_SIZE", 4)
     g = parse_group_spec("D24")
-    tables = scan_tables(g)
-    tables.subgroups.clear()
+    subgroups = g.abelian_normal.subgroups
+    subgroups.clear()
     rng = random.Random(12)
     seen = set()
     for _ in range(40):
         w = parse_word(" ".join(f"x{i}^{rng.randint(1, 11)}"
                                 for i in (1, 2, 1, 2)), 2)
         assert image(g, w, want_fibers=True) == naive_image(g, w)
-        assert len(tables.subgroups) <= 4
-        seen |= set(tables.subgroups)
+        assert len(subgroups) <= 4
+        seen |= set(subgroups)
     assert len(seen) > 4

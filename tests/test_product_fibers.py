@@ -36,9 +36,9 @@ def scanned_orders(monkeypatch):
     or the scan over an abelian normal subgroup."""
     orders = []
     for name in ("_class_scan", "_normal_scan"):
-        def spy(tables, *args, scan=getattr(engine, name)):
-            orders.append(tables.group.order)
-            return scan(tables, *args)
+        def spy(g, *args, scan=getattr(engine, name)):
+            orders.append(g.order)
+            return scan(g, *args)
 
         monkeypatch.setattr(engine, name, spy)
     return orders

@@ -112,8 +112,35 @@ def test_replay_refuses_a_long_integer_in_the_word(word):
         replay(record)
 
 
+@pytest.mark.parametrize("arity", [-1, 0, -(10 ** 40)])
+def test_replay_refuses_an_arity_below_1(arity):
+    record = {"group": "S3", "word": "x1", "arity": arity, "chiral": False}
+    with pytest.raises(MalformedRecordError,
+                       match="field 'arity' is .* at least 1"):
+        replay(record)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 100])
+def test_replay_refuses_a_record_with_no_verdict(arity):
+    # Such a record checks nothing, so it must not replay as a pass.
+    record = {"group": "S3", "word": "x1", "arity": arity, "order": 6}
+    with pytest.raises(MalformedRecordError,
+                       match="states no verdict: none of 'chiral', "
+                             "'weakly_chiral', 'image_size'"):
+        replay(record)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("chiral", False), ("weakly_chiral", False), ("image_size", 6)])
+def test_replay_checks_a_record_with_one_verdict(key, value):
+    record = {"group": "S3", "word": "x1", "arity": 2, key: value}
+    assert replay(record) == (True, [])
+    assert not replay(dict(record, **{key: 1 - value}))[0]
+
+
 def test_replay_of_a_huge_arity_record_is_a_skip():
-    record = {"group": "S3", "word": "x1*x2", "arity": 2_000_000}
+    record = {"group": "S3", "word": "x1*x2", "arity": 2_000_000,
+              "chiral": None, "weakly_chiral": None, "image_size": None}
     assert replay(record) == (True, [])
 
 
