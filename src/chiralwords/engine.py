@@ -86,8 +86,7 @@ def evaluate_twisted(g: FiniteGroup, w: Word, gamma: GroupMap,
     """Evaluate the twisted map w_gamma = gamma(w(...))."""
     if gamma.group != g:
         raise GroupError("gamma belongs to a different group")
-    if gamma.kind != ANTI_AUTOMORPHISM:
-        raise GroupError("gamma must be an anti-automorphism")
+    _check_antis([gamma])
     return gamma.images[evaluate(g, w, tup)]
 
 
@@ -341,12 +340,8 @@ def naive_image(g: FiniteGroup, w: Word, arity: Optional[int] = None,
 
 
 def invert_set(g: FiniteGroup, members: Sequence[bool]) -> Tuple[bool, ...]:
-    """Elementwise inverses of a membership set; an involution."""
-    out = [False] * g.order
-    for x, present in enumerate(members):
-        if present:
-            out[g.inv(x)] = True
-    return tuple(out)
+    """Elementwise inverses of a membership set; inversion is an involution."""
+    return tuple(map(members.__getitem__, g.inverses))
 
 
 def map_set(m: GroupMap, members: Sequence[bool]) -> Tuple[bool, ...]:
@@ -519,37 +514,34 @@ def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
     """Decide gamma-chirality for a free-group or group anti-automorphism.
 
     Exactly one of gamma_word / gamma_group must be given. The word flavor
-    compares G_w with G_{gamma(w)}; the group flavor compares G_w with
-    gamma(G_w). By the equivalence theorems both agree with is_chiral_pair.
+    compares G_w with G_{gamma(w)}, from a second scan; the group flavor
+    compares G_w with gamma(G_w), gathered through gamma^-1. The witness is
+    the least x where they differ. Both agree with is_chiral_pair.
     """
     if (gamma_word is None) == (gamma_group is None):
         raise ValueError("pass exactly one of gamma_word, gamma_group")
     start = time.perf_counter()
-    d = _resolve_arity(w, arity)
-    img = image(g, w, d, budget=budget)
-    evaluations = g.order ** d
+    if gamma_group is not None:
+        _check_antis([gamma_group])
+    v = pair_verdicts(g, w, arity, budget)
+    members = v.image.members
     if gamma_word is not None:
         tw = apply_anti(w, gamma_word)
-        other = image(g, tw, max(d, tw.support_rank), budget=budget).members
-        evaluations += g.order ** max(d, tw.support_rank)
-        desc = "word-anti"
+        twisted = image(g, tw, max(v.image.arity, tw.support_rank),
+                        budget=budget)
+        other, flavor = twisted.members, "word-anti"
+        twisted_evaluations = g.order ** twisted.arity
     else:
-        if gamma_group.kind != ANTI_AUTOMORPHISM:
-            raise GroupError("gamma_group must be an anti-automorphism")
-        other = map_set(gamma_group, img.members)
-        desc = "group-anti"
-    verdict = img.members != other
-    witness = None
-    if verdict:
-        witness = min(x for x in g.elements()
-                      if img.members[x] != other[x])
-    return ChiralityReport(
-        group_name=g.name, group_order=g.order, word_text=render_word(w),
-        arity=d, evaluations=evaluations,
-        chiral=verdict, chiral_witness=witness,
-        gamma_results=[{"gamma": desc, "chiral": verdict}],
-        members=img.member_indices,
-        wall_time_s=time.perf_counter() - start)
+        other = tuple(map(members.__getitem__, gamma_group.inverse_images))
+        flavor, twisted_evaluations = "group-anti", 0
+    witness = next((x for x, (a, b) in enumerate(zip(members, other))
+                    if a != b), None)
+    chiral = witness is not None
+    report = _report(v, start, "chiral", (), chiral=chiral,
+                     chiral_witness=witness,
+                     gamma_results=[{"gamma": flavor, "chiral": chiral}])
+    report.evaluations += twisted_evaluations
+    return report
 
 
 def is_weakly_chiral_pair(g: FiniteGroup, w: Word,

@@ -428,35 +428,23 @@ def _perm_compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(p[q[x]] for x in range(len(q)))
 
 
-def _perm_parity(p: Tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    parity = 0
+def _cycles(p: Tuple[int, ...]) -> List[List[int]]:
+    """The cycles of p, fixed points included, each from its least point."""
+    seen, cycles = [False] * len(p), []
     for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            cycle += 1
-        parity ^= (cycle - 1) & 1
-    return parity
-
-
-def _cycle_label(p: Tuple[int, ...]) -> str:
-    seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
         cycle, j = [], i
         while not seen[j]:
             seen[j] = True
-            cycle.append(str(j + 1))
+            cycle.append(j)
             j = p[j]
-        parts.append("(" + " ".join(cycle) + ")")
-    return "".join(parts) or "e"
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def _cycle_label(p: Tuple[int, ...]) -> str:
+    return "".join("(" + " ".join(str(j + 1) for j in cycle) + ")"
+                   for cycle in _cycles(p) if len(cycle) > 1) or "e"
 
 
 def _group_from_perms(name: str, perms: List[Tuple[int, ...]]) -> FiniteGroup:
@@ -475,7 +463,9 @@ def symmetric_group(n: int) -> FiniteGroup:
 def alternating_group(n: int) -> FiniteGroup:
     if not 3 <= n <= 5:
         raise GroupSpecError(f"A{n}: degree must be in 3..5")
-    perms = [p for p in itertools.permutations(range(n)) if _perm_parity(p) == 0]
+    # A permutation of n points in c cycles is n - c transpositions.
+    perms = [p for p in itertools.permutations(range(n))
+             if (n - len(_cycles(p))) % 2 == 0]
     return _group_from_perms(f"A{n}", perms)
 
 
@@ -740,7 +730,7 @@ class GroupMap:
     def __call__(self, a: int) -> int:
         return self.images[a]
 
-    @functools.cached_property
+    @_fact
     def inverse_images(self) -> Tuple[int, ...]:
         """The image array of the inverse map, built on first use and kept:
         gamma^-1(x) for every element x."""
@@ -769,22 +759,22 @@ def inner_automorphism(g: FiniteGroup, a: int) -> GroupMap:
     return GroupMap(g, images, AUTOMORPHISM)
 
 
+def _after_inversion(m: GroupMap, kind: str, result_kind: str) -> GroupMap:
+    """x -> m(x^-1) for m of `kind`; inversion swaps the two kinds."""
+    if m.kind != kind:
+        raise GroupError(f"expected an {kind}")
+    images = tuple(map(m.images.__getitem__, m.group.inverses))
+    return GroupMap._derived(m.group, images, result_kind)
+
+
 def anti_from_auto(zeta: GroupMap) -> GroupMap:
     """The anti-automorphism x -> zeta(x^-1)."""
-    if zeta.kind != AUTOMORPHISM:
-        raise GroupError("expected an automorphism")
-    g = zeta.group
-    images = tuple(map(zeta.images.__getitem__, g.inverses))
-    return GroupMap._derived(g, images, ANTI_AUTOMORPHISM)
+    return _after_inversion(zeta, AUTOMORPHISM, ANTI_AUTOMORPHISM)
 
 
 def auto_from_anti(gamma: GroupMap) -> GroupMap:
     """The automorphism x -> gamma(x^-1); inverse of anti_from_auto."""
-    if gamma.kind != ANTI_AUTOMORPHISM:
-        raise GroupError("expected an anti-automorphism")
-    g = gamma.group
-    images = tuple(map(gamma.images.__getitem__, g.inverses))
-    return GroupMap._derived(g, images, AUTOMORPHISM)
+    return _after_inversion(gamma, ANTI_AUTOMORPHISM, AUTOMORPHISM)
 
 
 def _greedy_generators(table: Sequence[Sequence[int]],

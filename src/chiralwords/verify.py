@@ -64,6 +64,11 @@ class Bounds:
     budget: int = DEFAULT_BUDGET
     families: Optional[Tuple[str, ...]] = None
 
+    def __post_init__(self):
+        for name in ("theta_samples", "gamma_samples"):  # range(-1) is empty
+            if (count := getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {count}")
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["families"] = list(self.families) if self.families else None

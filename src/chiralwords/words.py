@@ -7,9 +7,8 @@ generator. Generators are indexed 1..rank. All values here are immutable.
 
 from __future__ import annotations
 
-import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 Syllable = Tuple[int, int]  # (generator index 1..rank, nonzero exponent)
@@ -41,11 +40,14 @@ class Word:
 
     rank: int
     syllables: Tuple[Syllable, ...]
+    # Largest generator index used (0 for the identity word), read by every
+    # `evaluate`; set by the validation walk, outside equality and hashing.
+    support_rank: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
-        prev_gen = None
+        prev_gen, top = None, 0
         for gen, exp in self.syllables:
             if not 1 <= gen <= self.rank:
                 raise ValueError(f"generator x{gen} outside 1..{self.rank}")
@@ -54,6 +56,9 @@ class Word:
             if gen == prev_gen:
                 raise ValueError(f"adjacent syllables on x{gen}; word not in normal form")
             prev_gen = gen
+            if gen > top:
+                top = gen
+        object.__setattr__(self, "support_rank", top)
 
     @property
     def is_identity(self) -> bool:
@@ -63,14 +68,6 @@ class Word:
     def length(self) -> int:
         """Reduced word length: sum of |exponent| over syllables."""
         return sum(abs(e) for _, e in self.syllables)
-
-    @functools.cached_property
-    def support_rank(self) -> int:
-        """Largest generator index actually used (0 for the identity word).
-
-        Cached, since `evaluate` reads it on every tuple; the cache sits
-        outside the fields that equality and hashing read."""
-        return max((g for g, _ in self.syllables), default=0)
 
     def letters(self) -> Iterator[Tuple[int, int]]:
         """The word letter by letter as (generator, +1 or -1).

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from chiralwords.groups import from_cayley_document
 from chiralwords.words import Word, reduce_syllables
 
 
@@ -24,6 +25,16 @@ def brute_force_reduced_words(rank: int, max_len: int) -> set:
         for combo in itertools.product(letters, repeat=length):
             seen.add(reduce_syllables(combo, rank).syllables)
     return seen
+
+
+def metacyclic_c7_c9():
+    """C7:C9 from (i, j)(k, l) = (i + k 2^j mod 7, j + l mod 9)."""
+    pairs = [(i, j) for j in range(9) for i in range(7)]
+    index = {p: x for x, p in enumerate(pairs)}
+    table = [[index[(i + k * 2 ** j) % 7, (j + l) % 9] for k, l in pairs]
+             for i, j in pairs]
+    return from_cayley_document({"name": "C7:C9", "order": 63,
+                                 "table": table})
 
 
 @pytest.fixture

@@ -147,6 +147,14 @@ def test_verify_degenerate_bounds(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag", ["--theta-samples", "--gamma-samples"])
+def test_verify_refuses_a_negative_sample_count(capsys, flag):
+    code, out, err = run(capsys, "verify", "all", "--max-order", "8",
+                         flag, "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + flag[2:].replace("-", "_"))
+
+
 def test_verify_seed_reproducible(capsys):
     args = ("verify", "lemma1", "--max-order", "6", "--max-len", "2",
             "--seed", "3", "--format", "structured")

@@ -28,15 +28,18 @@ from chiralwords.groups import (
     inversion_map,
     parse_group_spec,
 )
+from chiralwords.reports import strip_timing
 from chiralwords.words import (
     FreeAntiAuto,
+    apply_anti,
     identity_endo,
     invert,
     parse_word,
     random_automorphism,
+    render_word,
 )
 
-from conftest import random_reduced_word
+from conftest import metacyclic_c7_c9, random_reduced_word
 
 COMMUTATOR = parse_word("x1 x2 x1^-1 x2^-1", 2)
 
@@ -282,6 +285,56 @@ def test_gamma_flavor_validation():
                              gamma_group=anti_from_auto(identity_map(g)))
 
 
+PINNED_GROUPS = {"C7:C9": metacyclic_c7_c9(), "S4": parse_group_spec("S4"),
+                 "Q8": parse_group_spec("Q8")}
+# Chiral on C7:C9; weakly chiral only on C7:C9; chiral nowhere.
+PINNED_WORDS = ["x1^-12 x2 x1^3 x2^2", "x1^4 x2 x1^-1 x2^2",
+                "x1 x2 x1^-1 x2^2"]
+
+
+def reference_gamma_report(g, w, gamma_word=None, gamma_group=None):
+    """The structured report `is_gamma_chiral_pair` must give, from
+    `naive_image` and the forward scatter `map_set`."""
+    img, _ = naive_image(g, w)
+    evaluations = g.order ** img.arity
+    if gamma_word is not None:
+        tw = apply_anti(w, gamma_word)
+        twisted, _ = naive_image(g, tw, max(img.arity, tw.support_rank))
+        other, flavor = twisted.members, "word-anti"
+        evaluations += g.order ** twisted.arity
+    else:
+        other, flavor = map_set(gamma_group, img.members), "group-anti"
+    differ = [x for x in g.elements() if img.members[x] != other[x]]
+    return {
+        "schema_version": 1, "kind": "chirality-report", "group": g.name,
+        "order": g.order, "word": render_word(w), "arity": img.arity,
+        "members": list(img.member_indices), "counts": None,
+        "chiral": bool(differ), "weakly_chiral": None,
+        "chiral_witness": differ[0] if differ else None,
+        "weak_witness": None,
+        "gamma_results": [{"gamma": flavor, "chiral": bool(differ)}],
+        "all_gammas_agree": None, "evaluations": evaluations,
+    }
+
+
+@pytest.mark.parametrize("spec", PINNED_GROUPS)
+@pytest.mark.parametrize("text", PINNED_WORDS)
+def test_gamma_chiral_reports_match_a_naive_reference(spec, text):
+    g, w = PINNED_GROUPS[spec], parse_word(text, 2)
+    flavors = [{"gamma_group": gamma} for gamma in
+               [inversion_map(g)] + list(enumerate_anti_automorphisms(g)[:12])]
+    flavors += [{"gamma_word": FreeAntiAuto(theta)} for theta in
+                [identity_endo(2)] + [random_automorphism(2, 5, seed)
+                                      for seed in (3, 17)]]
+    chiral = []
+    for flavor in flavors:
+        report = strip_timing(is_gamma_chiral_pair(g, w, **flavor)
+                              .to_structured())
+        assert report == reference_gamma_report(g, w, **flavor), flavor
+        chiral.append(report["chiral"])
+    assert chiral == [spec == "C7:C9" and text == PINNED_WORDS[0]] * 16
+
+
 def test_weak_chirality_examples():
     c4 = build_family("C4")
     gamma = [anti_from_auto(identity_map(c4))]
@@ -316,6 +369,9 @@ def test_predicates_refuse_a_gamma_that_is_no_anti_automorphism():
         is_chiral_pair(g, w, gammas=auto)
     with pytest.raises(GroupError, match="anti-automorphism"):
         is_weakly_chiral_pair(g, w, auto)
+    # Refused before the scan, which this budget would refuse.
+    with pytest.raises(GroupError, match="gamma must be an anti-automorphism"):
+        is_gamma_chiral_pair(g, w, gamma_group=auto[0], budget=1)
     with pytest.raises(ValueError, match="at least one gamma"):
         is_weakly_chiral_pair(g, w, [])
 

@@ -23,6 +23,8 @@ from chiralwords.groups import (
 )
 from chiralwords.words import canonical_words, parse_word
 
+from conftest import metacyclic_c7_c9
+
 CAP = 30000
 NONABELIAN = [(spec, g) for spec, g in catalog_groups(32)
               if not g.is_abelian]
@@ -39,16 +41,6 @@ def relabelled(g, seed):
         for b in g.elements():
             table[perm[a]][perm[b]] = perm[g.table[a][b]]
     return from_cayley_document({"name": g.name, "order": g.order,
-                                 "table": table})
-
-
-def metacyclic_c7_c9():
-    """C7:C9 from (i, j)(k, l) = (i + k 2^j mod 7, j + l mod 9)."""
-    pairs = [(i, j) for j in range(9) for i in range(7)]
-    index = {p: x for x, p in enumerate(pairs)}
-    table = [[index[(i + k * 2 ** j) % 7, (j + l) % 9] for k, l in pairs]
-             for i, j in pairs]
-    return from_cayley_document({"name": "C7:C9", "order": 63,
                                  "table": table})
 
 

@@ -3,8 +3,10 @@
 `perfbench/spans.py` wraps each of its ENTRY_POINTS and silently drops the
 metrics of one that is gone; it reads `cache_info()` of the two
 automorphism enumerations for the `groups.autos.*` metrics.
-`perfbench/worker.py` imports names from the package. A refactor that
-removes any of these fails here, not only in the slow benchmark smoke test.
+`perfbench/worker.py` imports names from the package, and times the verify
+workload's operations by replacing `verify.catalog_groups` for the run. A
+refactor that removes any of these, or stops looking that name up once per
+suite pass, fails here, not only in the slow benchmark smoke test.
 """
 
 import ast
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from chiralwords import groups
+from chiralwords import groups, verify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,3 +64,30 @@ def test_the_automorphism_enumerations_expose_cache_info():
                groups.enumerate_anti_automorphisms):
         info = fn.cache_info()
         assert info.hits >= 0 and info.misses >= 0
+
+
+def test_verify_looks_up_the_catalog_once_per_suite_pass(monkeypatch):
+    original = verify.catalog_groups
+    calls = []
+
+    def counting(*args, **kwargs):
+        catalog = original(*args, **kwargs)
+        consumed = []
+        calls.append((catalog, consumed))
+
+        def feed():
+            for item in catalog:
+                consumed.append(item)
+                yield item
+        return feed()
+
+    monkeypatch.setattr(verify, "catalog_groups", counting)
+    bounds = verify.Bounds(max_order=6, max_word_len=1, theta_samples=1,
+                           gamma_samples=1)
+    verify.run_all(bounds)
+    assert len(calls) == 4
+    assert all(catalog and consumed == catalog
+               for catalog, consumed in calls)
+    calls.clear()
+    verify.run_suite("thm2", bounds)
+    assert len(calls) == 1 and calls[0][1] == calls[0][0]

@@ -123,6 +123,13 @@ def test_degenerate_bounds_pass():
         assert report.passed
 
 
+@pytest.mark.parametrize("name", ["theta_samples", "gamma_samples"])
+def test_bounds_refuse_a_negative_sample_count(name):
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+        Bounds(**{name: -1})
+    assert getattr(Bounds(**{name: 0}), name) == 0
+
+
 def test_reports_deterministic_given_seed():
     a = summarize(run_all(SMALL))
     b = summarize(run_all(SMALL))
