@@ -25,7 +25,8 @@ def catalog_specs(max_order: int,
                   families: Optional[Sequence[str]] = None) -> List[str]:
     """Group specs with order <= max_order, sorted by (order, spec).
 
-    `families` filters by leading family letter(s), e.g. ["C", "D"].
+    `families` filters by leading family letter(s), e.g. ["C", "D"]. An
+    empty selection raises ValueError, so no run passes over no group.
     """
     specs: List[Tuple[int, str]] = []
     for n in range(1, min(max_order, MAX_CYCLIC) + 1):
@@ -37,6 +38,11 @@ def catalog_specs(max_order: int,
     if families is not None:
         allowed = {f.upper() for f in families}
         out = [s for s in out if s[0].upper() in allowed]
+    if not out:
+        chosen = ("any family" if families is None
+                  else f"families {list(families)}")
+        raise ValueError(f"the catalog has no group of order <= {max_order} "
+                         f"in {chosen}")
     return out
 
 

@@ -302,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suites")
     _add_common(p, "--format", "--budget", "--auto-cap")
     p.add_argument("suite", choices=["lemma1", "thm1", "thm2", "remark", "all"])
-    p.add_argument("--max-order", type=int, default=16)
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--theta-samples", type=int, default=5)
-    p.add_argument("--gamma-samples", type=int, default=10)
-    p.add_argument("--theta-length", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-order", type=int, default=Bounds.max_order)
+    p.add_argument("--max-len", type=int, default=Bounds.max_word_len)
+    p.add_argument("--rank", type=int, default=Bounds.rank)
+    p.add_argument("--theta-samples", type=int, default=Bounds.theta_samples)
+    p.add_argument("--gamma-samples", type=int, default=Bounds.gamma_samples)
+    p.add_argument("--theta-length", type=int, default=Bounds.theta_length)
+    p.add_argument("--seed", type=int, default=Bounds.seed)
     p.add_argument("--families", nargs="+")
     p.add_argument("--out", help="write the structured summary to a file")
     p.set_defaults(func=cmd_verify)

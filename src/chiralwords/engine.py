@@ -84,9 +84,7 @@ def evaluate(g: FiniteGroup, w: Word, tup: Sequence[int]) -> int:
 def evaluate_twisted(g: FiniteGroup, w: Word, gamma: GroupMap,
                      tup: Sequence[int]) -> int:
     """Evaluate the twisted map w_gamma = gamma(w(...))."""
-    if gamma.group != g:
-        raise GroupError("gamma belongs to a different group")
-    _check_antis([gamma])
+    _check_antis(g, [gamma])
     return gamma.images[evaluate(g, w, tup)]
 
 
@@ -469,9 +467,14 @@ def pair_verdicts(g: FiniteGroup, w: Word, arity: Optional[int] = None,
         weak_verdict_from_counts(g, fibers.counts, g.inverses))
 
 
-def _check_antis(gammas: Sequence[GroupMap]) -> None:
-    if any(gamma.kind != ANTI_AUTOMORPHISM for gamma in gammas):
-        raise GroupError("gamma must be an anti-automorphism")
+def _check_antis(g: FiniteGroup, gammas: Sequence[GroupMap]) -> None:
+    """Refuse a gamma of another group or one that is no anti-automorphism.
+    A group equal to g but built apart from it is accepted."""
+    for gamma in gammas:
+        if gamma.group is not g and gamma.group != g:
+            raise GroupError("gamma belongs to a different group")
+        if gamma.kind != ANTI_AUTOMORPHISM:
+            raise GroupError("gamma must be an anti-automorphism")
 
 
 def _report(v: PairVerdicts, start: float, key: str,
@@ -500,7 +503,7 @@ def is_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
     report also holds each one's verdict gamma(G_w) != G_w and whether all
     agree with inversion's."""
     start = time.perf_counter()
-    _check_antis(gammas or ())
+    _check_antis(g, gammas or ())
     v = pair_verdicts(g, w, arity, budget)
     per_gamma = [r.chiral for r in v.against(gammas or ())]
     return _report(v, start, "chiral", per_gamma, chiral=v.chiral,
@@ -522,7 +525,7 @@ def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
         raise ValueError("pass exactly one of gamma_word, gamma_group")
     start = time.perf_counter()
     if gamma_group is not None:
-        _check_antis([gamma_group])
+        _check_antis(g, [gamma_group])
     v = pair_verdicts(g, w, arity, budget)
     members = v.image.members
     if gamma_word is not None:
@@ -554,7 +557,7 @@ def is_weakly_chiral_pair(g: FiniteGroup, w: Word,
     if not gammas:
         raise ValueError("pass at least one gamma")
     start = time.perf_counter()
-    _check_antis(gammas)
+    _check_antis(g, gammas)
     v = pair_verdicts(g, w, arity, budget)
     per_gamma = v.against(gammas)
     witness = per_gamma[0].weak_witness

@@ -19,7 +19,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 DEFAULT_ORDER_CAP = 512
 DEFAULT_AUTO_CAP = 64
@@ -220,11 +220,8 @@ class FiniteGroup:
                 grown += cls
                 members = _closure(table, grown, 0)
         orders = self.element_orders
-        gens, span = [], {0}
-        for x in sorted(members, key=lambda x: (-orders[x], x)):
-            if x not in span:
-                gens.append(x)
-                span = _closure(table, gens, 0)
+        gens = _greedy_generators(
+            table, sorted(members, key=lambda x: (-orders[x], x)), 0)
         return AbelianNormal(  # T: the least element of each coset A x
             tuple(sorted(members)), tuple(gens),
             tuple(x in members for x in self.elements()),
@@ -247,13 +244,11 @@ class AbelianNormal:
 
 
 def _build_group(name: str, table: Sequence[Sequence[int]],
-                 labels: Optional[Sequence[str]] = None,
+                 labels: Sequence[str],
                  factors: Optional[Tuple[FiniteGroup, FiniteGroup]] = None
                  ) -> FiniteGroup:
     """Wrap a trusted table (identity at 0) after computing inverses."""
     n = len(table)
-    if labels is None:
-        labels = [f"g{i}" for i in range(n)]
     if len(set(labels)) != n:
         raise GroupError("labels are not unique")
     return FiniteGroup(name, n, tuple(tuple(row) for row in table),
@@ -261,19 +256,9 @@ def _build_group(name: str, table: Sequence[Sequence[int]],
                        factors)
 
 
-@dataclass
-class GroupValidation:
-    """Outcome of validate_group: ok iff violations is empty."""
-
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_group(table: Sequence[Sequence[int]]) -> GroupValidation:
-    """Check that a square table over 0..n-1 is a group.
+def validate_group(table: Sequence[Sequence[int]]) -> List[str]:
+    """Check that a square table over 0..n-1 is a group; return the
+    violations found, an empty list for a group.
 
     Verifies squareness, entry range, row/column bijectivity, the existence
     of a two-sided identity and inverses, and associativity by Light's
@@ -282,20 +267,20 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupValidation:
     The c passing for all a, b are closed under products, so that suffices.
     At most 10 violations are listed; each names the offending entries.
     """
-    report = GroupValidation()
+    violations: List[str] = []
 
     def add(msg: str) -> bool:
-        report.violations.append(msg)
-        return len(report.violations) >= 10
+        violations.append(msg)
+        return len(violations) >= 10
 
     n = len(table)
     if n == 0:
         add("empty table")
-        return report
+        return violations
     for a, row in enumerate(table):
         if len(row) != n:
             add(f"row {a} has length {len(row)}, expected {n}")
-            return report
+            return violations
         # A row of plain ints in range passes in C; any other walks the
         # loop, which names the first bad entry.
         if set(map(type, row)) <= {int} and 0 <= min(row) and max(row) < n:
@@ -303,25 +288,25 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupValidation:
         for b, v in enumerate(row):
             if not _is_int(v):
                 add(f"entry table[{a}][{b}] = {v!r} is not an integer")
-                return report
+                return violations
             if not 0 <= v < n:
                 add(f"entry table[{a}][{b}] = {v!r} out of range 0..{n - 1}")
-                return report
+                return violations
     for a, (row, col) in enumerate(zip(table, zip(*table))):
         if len(set(row)) != n and add(f"row {a} is not a permutation"):
-            return report
+            return violations
         if len(set(col)) != n and add(f"column {a} is not a permutation"):
-            return report
+            return violations
     identity = find_identity(table)
     if identity is None:
         add("no two-sided identity element")
-        return report
+        return violations
     for a in range(n):
         if not any(table[a][b] == identity and table[b][a] == identity
                    for b in range(n)):
             if add(f"element {a} has no two-sided inverse"):
-                return report
-    gens = _greedy_generators(table, identity)
+                return violations
+    gens = _greedy_generators(table, range(n), identity)
     # Over all b at once: (ab)c = col_c[row_a[b]] and a(bc) = row_a[col_c[b]],
     # each gathered in C. Only a failing table pays for the loop below,
     # which names each violation.
@@ -332,7 +317,7 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupValidation:
         if any(at_row(col) != at_col(row_a) for col, at_col in at_cols):
             break
     else:
-        return report
+        return violations
     for a in range(n):
         row_a = table[a]
         for b in range(n):
@@ -340,8 +325,8 @@ def validate_group(table: Sequence[Sequence[int]]) -> GroupValidation:
             for c in gens:
                 if row_ab[c] != row_a[row_b[c]]:
                     if add(f"associativity fails at ({a},{b},{c})"):
-                        return report
-    return report
+                        return violations
+    return violations
 
 
 def _is_int(v: Any) -> bool:
@@ -535,9 +520,9 @@ def from_cayley_document(doc: dict) -> FiniteGroup:
                          "of rows")
     if len(table) != order:
         raise GroupError(f"table has {len(table)} rows, order says {order}")
-    report = validate_group(table)
-    if not report.ok:
-        raise GroupError("invalid group table: " + "; ".join(report.violations))
+    violations = validate_group(table)
+    if violations:
+        raise GroupError("invalid group table: " + "; ".join(violations))
     name = str(doc.get("name", "file-group"))
     labels = doc.get("labels")
     if labels is None:
@@ -778,12 +763,12 @@ def auto_from_anti(gamma: GroupMap) -> GroupMap:
 
 
 def _greedy_generators(table: Sequence[Sequence[int]],
-                       identity: int = 0) -> List[int]:
-    """First elements, in index order, that strictly grow the subgroup:
+                       candidates: Iterable[int], identity: int) -> List[int]:
+    """The candidates, in the order given, that strictly grow the subgroup:
     the set reached from the identity by right multiplication."""
     gens: List[int] = []
     generated = {identity}
-    for a in range(len(table)):
+    for a in candidates:
         if a not in generated:
             gens.append(a)
             generated = _closure(table, gens, identity)

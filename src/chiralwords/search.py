@@ -113,8 +113,8 @@ def search_chiral(rank: int, max_len: int, max_order: int,
     """Scan canonical words x catalog groups; yield Findings in order.
 
     Abelian groups and single-generator power words are skipped as proven
-    achiral. By default only positive (chiral or weakly chiral or
-    highlighted) findings are yielded; `full` yields every scanned pair.
+    achiral. By default only positive (chiral or weakly chiral) and
+    skipped findings are yielded; `full` yields every scanned pair.
     """
     groups = [(spec, g) for spec, g in catalog_groups(max_order, families)
               if not g.is_abelian]
@@ -124,7 +124,7 @@ def search_chiral(rank: int, max_len: int, max_order: int,
         for spec, g in groups:
             finding = _scan_pair(spec, g, w, auto_cap, budget)
             if (full or finding.skipped or finding.chiral
-                    or finding.weakly_chiral or finding.highlighted):
+                    or finding.weakly_chiral):
                 yield finding
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .catalog import catalog_groups
@@ -69,11 +68,6 @@ class Bounds:
             if (count := getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {count}")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["families"] = list(self.families) if self.families else None
-        return d
-
 
 @dataclass
 class VerificationReport:
@@ -97,7 +91,7 @@ class VerificationReport:
             "schema_version": 1,
             "kind": "verification-report",
             "suite": self.suite,
-            "bounds": self.bounds.to_dict(),
+            "bounds": asdict(self.bounds),
             "cases": self.cases,
             "passed": self.passed,
             "failures": self.failures,
@@ -275,12 +269,6 @@ def run_suite(name: str, bounds: Bounds) -> VerificationReport:
 def run_all(bounds: Bounds) -> List[VerificationReport]:
     words = canonical_words(bounds.rank, bounds.max_word_len)
     return [_drive(name, bounds, words) for name in _SUITES]
-
-
-verify_lemma = partial(run_suite, "lemma1")
-verify_theorem1 = partial(run_suite, "thm1")
-verify_theorem2 = partial(run_suite, "thm2")
-verify_remark = partial(run_suite, "remark")
 
 
 def summarize(reports: Sequence[VerificationReport]) -> dict:

@@ -78,15 +78,6 @@ class Word:
         return ((gen, 1 if exp > 0 else -1)
                 for gen, exp in self.syllables for _ in range(abs(exp)))
 
-    def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)
-
-    def __invert__(self) -> "Word":
-        return invert(self)
-
-    def __str__(self) -> str:
-        return render_word(self)
-
 
 def _check_expansion(w: Word, size: int, unit: str) -> None:
     if size > MAX_EXPANSION:
@@ -201,17 +192,10 @@ class FreeGroupEndo:
             if img.rank != self.rank:
                 raise ValueError("image rank mismatch")
 
-    @property
-    def is_automorphism_witnessed(self) -> bool:
-        return self.inverse_images is not None
-
     def inverse(self) -> "FreeGroupEndo":
         if self.inverse_images is None:
             raise ValueError("endomorphism carries no invertibility witness")
         return FreeGroupEndo(self.rank, self.inverse_images, self.images)
-
-    def __call__(self, w: Word) -> Word:
-        return substitute(w, self)
 
 
 def identity_endo(rank: int) -> FreeGroupEndo:
@@ -303,15 +287,12 @@ class FreeAntiAuto:
     theta: FreeGroupEndo
 
     def __post_init__(self):
-        if not self.theta.is_automorphism_witnessed:
+        if self.theta.inverse_images is None:
             raise ValueError("theta must be automorphism-witnessed")
 
     @property
     def rank(self) -> int:
         return self.theta.rank
-
-    def __call__(self, w: Word) -> Word:
-        return apply_anti(w, self)
 
 
 def inversion_anti(rank: int) -> FreeAntiAuto:

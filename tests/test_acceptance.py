@@ -30,11 +30,8 @@ from chiralwords.verify import (
     Bounds,
     canonical_words,
     run_all,
+    run_suite,
     summarize,
-    verify_lemma,
-    verify_remark,
-    verify_theorem1,
-    verify_theorem2,
 )
 from chiralwords.words import (
     FreeAntiAuto,
@@ -69,25 +66,25 @@ def report_line(number: int, name: str, passed: bool) -> None:
 
 def test_criterion_01_lemma_suite():
     assert set(REQUIRED_SPECS) <= set(catalog_specs(16))
-    report = verify_lemma(GRID)
+    report = run_suite("lemma1", GRID)
     ok = report.passed and report.cases > 0 and not report.skipped
     report_line(1, "lemma suite (order<=16, len<=4, all zeta, 5 thetas)", ok)
 
 
 def test_criterion_02_theorem1_suite():
-    report = verify_theorem1(GRID)
+    report = run_suite("thm1", GRID)
     ok = report.passed and report.cases > 0 and not report.skipped
     report_line(2, "theorem 1 suite (10 gamma samples in AA(F_2))", ok)
 
 
 def test_criterion_03_theorem2_suite():
-    report = verify_theorem2(GRID)
+    report = run_suite("thm2", GRID)
     ok = report.passed and report.cases > 0 and not report.skipped
     report_line(3, "theorem 2 suite (every gamma in AA(G))", ok)
 
 
 def test_criterion_04_remark_suite():
-    report = verify_remark(GRID)
+    report = run_suite("remark", GRID)
     ok = report.passed and report.cases > 0 and not report.skipped
     report_line(4, "weak-chirality remark suite", ok)
 
@@ -177,14 +174,14 @@ def test_criterion_08_group_core_correctness():
     ok = True
     for spec in REQUIRED_SPECS + ["S4", "A5", "C2xC6", "C3xC3"]:
         g = parse_group_spec(spec)
-        ok &= validate_group(g.table).ok
+        ok &= not validate_group(g.table)
     table = [list(row) for row in build_family("C8").table]
     rng = random.Random(88)
     for _ in range(50):
         a, b = rng.randrange(8), rng.randrange(8)
         old = table[a][b]
         table[a][b] = rng.choice([v for v in range(8) if v != old])
-        ok &= not validate_group(table).ok
+        ok &= bool(validate_group(table))
         table[a][b] = old
     for spec, expected in [("C4", 2), ("C2xC2", 6), ("S3", 6)]:
         g = parse_group_spec(spec)

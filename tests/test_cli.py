@@ -147,6 +147,24 @@ def test_verify_degenerate_bounds(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv,cause", [
+    (["verify", "all", "--families", "nosuch"],
+     "order <= 16 in families ['nosuch']"),
+    (["verify", "all", "--max-order", "-5"], "order <= -5 in any family"),
+    (["group", "list", "--families", "nosuch"],
+     "order <= 32 in families ['nosuch']"),
+    (["search", "--families", "nosuch"], "order <= 16 in families ['nosuch']"),
+], ids=["verify-families", "verify-max-order", "group-list", "search"])
+def test_an_empty_catalog_selection_is_refused(capsys, argv, cause):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: the catalog has no group of {cause}\n"
+
+
+def test_search_over_abelian_groups_only_finds_nothing(capsys):
+    assert run(capsys, "search", "--max-order", "3") == (0, "", "")
+
+
 @pytest.mark.parametrize("flag", ["--theta-samples", "--gamma-samples"])
 def test_verify_refuses_a_negative_sample_count(capsys, flag):
     code, out, err = run(capsys, "verify", "all", "--max-order", "8",

@@ -376,6 +376,44 @@ def test_predicates_refuse_a_gamma_that_is_no_anti_automorphism():
         is_weakly_chiral_pair(g, w, [])
 
 
+# budget=1 refuses every scan below, so a refusal with GroupError is made
+# before the scan.
+PREDICATES = {
+    "chiral": lambda g, w, gamma: is_chiral_pair(g, w, budget=1,
+                                                 gammas=[gamma]),
+    "weak": lambda g, w, gamma: is_weakly_chiral_pair(g, w, [gamma],
+                                                      budget=1),
+    "gamma": lambda g, w, gamma: is_gamma_chiral_pair(g, w, gamma_group=gamma,
+                                                      budget=1),
+}
+
+
+@pytest.mark.parametrize("predicate,other,word", [
+    ("chiral", "C6", "x1 x2"), ("weak", "C6", "x1 x2"),
+    ("gamma", "C4", "x1^2"),
+    ("chiral", "S4", "x1 x2"), ("weak", "S4", "x1 x2"),
+    ("gamma", "S4", "x1^2"),
+])
+def test_predicates_refuse_a_gamma_of_another_group(predicate, other, word):
+    g = parse_group_spec("S3")
+    gamma = inversion_map(parse_group_spec(other))
+    with pytest.raises(GroupError, match="gamma belongs to a different group"):
+        PREDICATES[predicate](g, parse_word(word, 2), gamma)
+    with pytest.raises(GroupError, match="gamma belongs to a different group"):
+        evaluate_twisted(g, parse_word(word, 2), gamma, (1, 2))
+
+
+def test_a_gamma_of_an_equal_group_built_apart_is_accepted():
+    g = parse_group_spec("S3")
+    twin = build_family("S3")
+    assert twin is not g and twin == g
+    w = parse_word("x1 x2^2", 2)
+    gamma = inversion_map(twin)
+    assert is_chiral_pair(g, w, gammas=[gamma]).all_gammas_agree
+    assert is_weakly_chiral_pair(g, w, [gamma]).all_gammas_agree
+    assert is_gamma_chiral_pair(g, w, gamma_group=gamma).chiral is False
+
+
 def test_weak_verdict_gamma_independent(rng):
     for spec in ["S3", "Q8"]:
         g = parse_group_spec(spec)

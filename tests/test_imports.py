@@ -1,10 +1,13 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module it imports is its own or in the standard library.
 
 A standard-library stand-in for a linter's unused-import rule. The package
-`__init__.py` is skipped: its imports are the public re-exports.
+`__init__.py` is skipped by the unused-import check: its imports are the
+public re-exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,34 @@ def test_the_check_catches_an_unused_import():
                      "x: List[int] = []\n"
                      "def f(a: 'Tuple[int]') -> None: return 'Dict'\n")
     assert set(imported_names(tree)) - used_names(tree) == {"Dict"}
+
+
+def non_stdlib_imports(tree: ast.Module) -> set:
+    """Top-level modules imported that are neither relative, `__future__`
+    nor in the standard library."""
+    outside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops = [node.module.split(".")[0]]
+        else:  # no import, or a relative one from inside the package
+            continue
+        outside.update(top for top in tops if top != "__future__"
+                       and top not in sys.stdlib_module_names)
+    return outside
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    outside = non_stdlib_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not outside, f"{path.name}: imports outside the standard library " \
+        f"{sorted(outside)}"
+
+
+def test_the_check_catches_a_non_stdlib_import():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "from . import words\nfrom .groups import GroupError\n"
+                     "import numpy as np\nfrom hypothesis import given\n")
+    assert non_stdlib_imports(tree) == {"numpy", "hypothesis"}

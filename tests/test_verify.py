@@ -11,8 +11,6 @@ from chiralwords.verify import (
     run_all,
     run_suite,
     summarize,
-    verify_lemma,
-    verify_theorem2,
 )
 from chiralwords.words import (
     nielsen_generators,
@@ -158,7 +156,7 @@ def test_derived_seed_stable():
 def test_budget_exhaustion_is_recorded_not_fatal():
     bounds = Bounds(max_order=8, max_word_len=2, theta_samples=1,
                     gamma_samples=1, budget=10)
-    report = verify_lemma(bounds)
+    report = run_suite("lemma1", bounds)
     assert report.skipped
     assert report.passed  # skipped cases are not failures
 
@@ -187,7 +185,7 @@ def test_skipped_pairs_keep_their_digest(bounds, digest, counts):
 
 
 def test_report_structure():
-    doc = verify_theorem2(SMALL).to_structured()
+    doc = run_suite("thm2", SMALL).to_structured()
     assert doc["kind"] == "verification-report"
     assert doc["suite"] == "thm2"
     assert doc["passed"] is True
