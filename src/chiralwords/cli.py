@@ -120,8 +120,7 @@ def cmd_group(args) -> int:
 def cmd_image(args) -> int:
     g = parse_group_spec(args.group)
     w = _parse_word_arg(args.word, args.rank)
-    img, fibers = image(g, w, args.arity, want_fibers=True,
-                        budget=args.budget)
+    img, fibers = image(g, w, want_fibers=True, budget=args.budget)
     members = img.member_indices
     lines = [f"G = {g.name} (order {g.order}), w = {render_word(w)}, "
              f"arity {img.arity}",
@@ -162,7 +161,7 @@ def cmd_chiral(args) -> int:
     g = parse_group_spec(args.group)
     w = _parse_word_arg(args.word, args.rank)
     gammas = _select_gammas(g, args.gamma, args.auto_cap)
-    report = is_chiral_pair(g, w, args.arity, args.budget, gammas)
+    report = is_chiral_pair(g, w, budget=args.budget, gammas=gammas)
     verdict = "chiral" if report.chiral else "not chiral"
     lines = [f"{g.name}, w = {report.word_text}: {verdict}"]
     if report.chiral_witness is not None:
@@ -178,7 +177,7 @@ def cmd_weak_chiral(args) -> int:
     g = parse_group_spec(args.group)
     w = _parse_word_arg(args.word, args.rank)
     gammas = _select_gammas(g, args.gamma, args.auto_cap)
-    report = is_weakly_chiral_pair(g, w, gammas, args.arity, args.budget)
+    report = is_weakly_chiral_pair(g, w, gammas, budget=args.budget)
     verdict = "weakly chiral" if report.weakly_chiral else "not weakly chiral"
     lines = [f"{g.name}, w = {report.word_text}: {verdict}",
              f"all gammas agree: {report.all_gammas_agree}"]
@@ -216,13 +215,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # A refused family or length raises here, before --out is opened.
+    findings = search_chiral(args.rank, args.max_len, args.max_order,
+                             families=args.families, auto_cap=args.auto_cap,
+                             budget=args.budget, full=args.full)
     sink = open(args.out, "w") if args.out else sys.stdout
     try:
         count = 0
-        for finding in search_chiral(
-                args.rank, args.max_len, args.max_order,
-                families=args.families, auto_cap=args.auto_cap,
-                budget=args.budget, full=args.full):
+        for finding in findings:
             sink.write(reports.dumps_line(finding.to_record()) + "\n")
             count += 1
     finally:
@@ -289,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True)
         p.add_argument("--word", required=True)
         p.add_argument("--rank", type=int)
-        p.add_argument("--arity", type=int)
         if func is cmd_image:
             _add_common(p, "--format", "--budget")
             p.add_argument("--fibers", action="store_true")

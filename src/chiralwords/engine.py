@@ -88,18 +88,6 @@ def evaluate_twisted(g: FiniteGroup, w: Word, gamma: GroupMap,
     return gamma.images[evaluate(g, w, tup)]
 
 
-def _resolve_arity(w: Word, arity: Optional[int]) -> int:
-    if arity is None:
-        return w.rank
-    if arity < 0:
-        raise ValueError(f"arity {arity} is negative")
-    if arity < w.support_rank:
-        raise ValueError(
-            f"arity {arity} below the word's largest generator "
-            f"x{w.support_rank}")
-    return arity
-
-
 def _check_budget(g: FiniteGroup, arity: int, budget: int) -> int:
     # |G|^arity >= 2^arity > budget here: refuse before building a number
     # that could take seconds to compute and too many digits to print.
@@ -310,14 +298,14 @@ def _class_scan(g: FiniteGroup, w: Word, read: List[int]) -> List[int]:
     return counts
 
 
-def image(g: FiniteGroup, w: Word, arity: Optional[int] = None,
-          want_fibers: bool = False, budget: int = DEFAULT_BUDGET):
-    """Exact image G_w (and optionally fiber counts) over G^arity.
+def image(g: FiniteGroup, w: Word, *, want_fibers: bool = False,
+          budget: int = DEFAULT_BUDGET):
+    """Exact image G_w (and optionally fiber counts) over G^d, d = w.rank.
 
-    Arity defaults to the word's rank. Returns a WordImage, or a
-    (WordImage, FiberDistribution) pair when want_fibers is set.
+    Returns a WordImage, or a (WordImage, FiberDistribution) pair when
+    want_fibers is set.
     """
-    d = _resolve_arity(w, arity)
+    d = w.rank
     counts = _fiber_counts(g, w, d, budget)
     img = WordImage(g, w, d, tuple(c > 0 for c in counts))
     if want_fibers:
@@ -325,10 +313,9 @@ def image(g: FiniteGroup, w: Word, arity: Optional[int] = None,
     return img
 
 
-def naive_image(g: FiniteGroup, w: Word, arity: Optional[int] = None,
-                budget: int = DEFAULT_BUDGET):
+def naive_image(g: FiniteGroup, w: Word, *, budget: int = DEFAULT_BUDGET):
     """Reference oracle: direct evaluate() per tuple, no caching."""
-    d = _resolve_arity(w, arity)
+    d = w.rank
     _check_budget(g, d, budget)
     counts = [0] * g.order
     for tup in product(range(g.order), repeat=d):
@@ -457,11 +444,11 @@ class PairVerdicts(NamedTuple):
             for gamma in gammas]
 
 
-def pair_verdicts(g: FiniteGroup, w: Word, arity: Optional[int] = None,
+def pair_verdicts(g: FiniteGroup, w: Word, *,
                   budget: int = DEFAULT_BUDGET) -> PairVerdicts:
-    """Scan G^arity once and derive the chiral and weak verdicts against
+    """Scan G^(w.rank) once and derive the chiral and weak verdicts against
     inversion; `PairVerdicts.against` derives them for other gammas."""
-    img, fibers = image(g, w, arity, want_fibers=True, budget=budget)
+    img, fibers = image(g, w, want_fibers=True, budget=budget)
     return PairVerdicts(
         img, fibers, _chiral_witness(g, img.members),
         weak_verdict_from_counts(g, fibers.counts, g.inverses))
@@ -495,8 +482,7 @@ def _report(v: PairVerdicts, start: float, key: str,
         wall_time_s=time.perf_counter() - start)
 
 
-def is_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
-                   budget: int = DEFAULT_BUDGET,
+def is_chiral_pair(g: FiniteGroup, w: Word, *, budget: int = DEFAULT_BUDGET,
                    gammas: Optional[Sequence[GroupMap]] = None
                    ) -> ChiralityReport:
     """Decide whether G_w is closed under inversion. With `gammas`, the
@@ -504,13 +490,13 @@ def is_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
     agree with inversion's."""
     start = time.perf_counter()
     _check_antis(g, gammas or ())
-    v = pair_verdicts(g, w, arity, budget)
+    v = pair_verdicts(g, w, budget=budget)
     per_gamma = [r.chiral for r in v.against(gammas or ())]
     return _report(v, start, "chiral", per_gamma, chiral=v.chiral,
                    chiral_witness=v.chiral_witness)
 
 
-def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
+def is_gamma_chiral_pair(g: FiniteGroup, w: Word, *,
                          gamma_word: Optional[FreeAntiAuto] = None,
                          gamma_group: Optional[GroupMap] = None,
                          budget: int = DEFAULT_BUDGET) -> ChiralityReport:
@@ -526,12 +512,11 @@ def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
     start = time.perf_counter()
     if gamma_group is not None:
         _check_antis(g, [gamma_group])
-    v = pair_verdicts(g, w, arity, budget)
+    v = pair_verdicts(g, w, budget=budget)
     members = v.image.members
     if gamma_word is not None:
         tw = apply_anti(w, gamma_word)
-        twisted = image(g, tw, max(v.image.arity, tw.support_rank),
-                        budget=budget)
+        twisted = image(g, tw, budget=budget)
         other, flavor = twisted.members, "word-anti"
         twisted_evaluations = g.order ** twisted.arity
     else:
@@ -548,8 +533,7 @@ def is_gamma_chiral_pair(g: FiniteGroup, w: Word, arity: Optional[int] = None,
 
 
 def is_weakly_chiral_pair(g: FiniteGroup, w: Word,
-                          gammas: Sequence[GroupMap],
-                          arity: Optional[int] = None,
+                          gammas: Sequence[GroupMap], *,
                           budget: int = DEFAULT_BUDGET) -> ChiralityReport:
     """Decide whether some fiber count differs between w and w_gamma, for
     the first of `gammas`; the report also holds each gamma's verdict and
@@ -558,7 +542,7 @@ def is_weakly_chiral_pair(g: FiniteGroup, w: Word,
         raise ValueError("pass at least one gamma")
     start = time.perf_counter()
     _check_antis(g, gammas)
-    v = pair_verdicts(g, w, arity, budget)
+    v = pair_verdicts(g, w, budget=budget)
     per_gamma = v.against(gammas)
     witness = per_gamma[0].weak_witness
     return _report(v, start, "weakly_chiral",

@@ -19,7 +19,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 DEFAULT_ORDER_CAP = 512
 DEFAULT_AUTO_CAP = 64
@@ -822,37 +823,26 @@ def _extend_map(g: FiniteGroup, h: FiniteGroup, gens: Sequence[int],
     return mapping
 
 
-def _image_search(g: FiniteGroup, h: FiniteGroup, first_only: bool) -> List[Tuple[int, ...]]:
+def _image_search(g: FiniteGroup,
+                  h: FiniteGroup) -> Iterator[Tuple[int, ...]]:
     """Backtrack over generator images drawn from the elements of h with
     their profile; yields full bijective image arrays."""
     gens = g.search_generators
     g_profiles, h_profiles = g.profiles, h.profiles
     candidates = [[c for c in h.elements() if h_profiles[c] == g_profiles[a]]
                   for a in gens]
-    results: List[Tuple[int, ...]] = []
 
-    def rec(i: int, chosen: List[int]) -> bool:
-        for c in candidates[i]:
-            mapping = _extend_map(g, h, gens[: i + 1], chosen + [c])
-            if mapping is None:
-                continue
-            if i + 1 < len(gens):
-                if rec(i + 1, chosen + [c]):
-                    return True
-            elif len(mapping) == g.order:
-                if len(results) == MAX_AUTOMORPHISMS:
-                    raise CapExceededError(
-                        f"{g.name} has more than {MAX_AUTOMORPHISMS} "
-                        "automorphisms, the enumeration bound")
-                results.append(tuple(mapping[x] for x in g.elements()))
-                if first_only:
-                    return True
-        return False
+    def rec(i: int, chosen: List[int]) -> Iterator[Tuple[int, ...]]:
+        mapping = _extend_map(g, h, gens[:i], chosen)
+        if mapping is None:
+            return
+        if i < len(gens):
+            for c in candidates[i]:
+                yield from rec(i + 1, chosen + [c])
+        elif len(mapping) == g.order == h.order:
+            yield tuple(mapping[x] for x in g.elements())
 
-    if g.order == 1:
-        return [(0,)] if h.order == 1 else []
-    rec(0, [])
-    return results
+    return rec(0, [])
 
 
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -862,8 +852,11 @@ def enumerate_automorphisms(g: FiniteGroup,
     if g.order > cap:
         raise CapExceededError(
             f"|G| = {g.order} exceeds automorphism cap {cap}")
-    arrays = sorted(_image_search(g, g, first_only=False))
-    return tuple(GroupMap(g, arr, AUTOMORPHISM) for arr in arrays)
+    arrays = list(itertools.islice(_image_search(g, g), MAX_AUTOMORPHISMS + 1))
+    if len(arrays) > MAX_AUTOMORPHISMS:
+        raise CapExceededError(f"{g.name} has more than {MAX_AUTOMORPHISMS} "
+                               "automorphisms, the enumeration bound")
+    return tuple(GroupMap(g, arr, AUTOMORPHISM) for arr in sorted(arrays))
 
 
 class AllGammas(tuple):
@@ -895,4 +888,4 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup,
         return False
     if sorted(g.profiles) != sorted(h.profiles):
         return False
-    return bool(_image_search(g, h, first_only=True))
+    return next(_image_search(g, h), None) is not None

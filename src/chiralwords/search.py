@@ -27,8 +27,7 @@ from .groups import (
     enumerate_anti_automorphisms,
     parse_group_spec,
 )
-from .verify import canonical_words
-from .words import Word, parse_word, render_word
+from .words import Word, canonical_words, parse_word, render_word
 
 
 class MalformedRecordError(ValueError):
@@ -81,7 +80,7 @@ def _scan_pair(spec: str, g: FiniteGroup, w: Word, auto_cap: int,
                budget: int) -> Finding:
     d = w.rank
     try:
-        v = pair_verdicts(g, w, d, budget=budget)
+        v = pair_verdicts(g, w, budget=budget)
     except BudgetExceededError as exc:
         return Finding(spec, g.order, render_word(w), d, None, None, None,
                        None, None, None, 0, skipped=str(exc))
@@ -110,7 +109,9 @@ def search_chiral(rank: int, max_len: int, max_order: int,
                   auto_cap: int = DEFAULT_AUTO_CAP,
                   budget: int = DEFAULT_BUDGET,
                   full: bool = False) -> Iterator[Finding]:
-    """Scan canonical words x catalog groups; yield Findings in order.
+    """Scan canonical words x catalog groups; an iterator of Findings in
+    order. The groups and words are built at the call, so a bad family or
+    length raises before any finding is asked for.
 
     Abelian groups and single-generator power words are skipped as proven
     achiral. By default only positive (chiral or weakly chiral) and
@@ -118,14 +119,12 @@ def search_chiral(rank: int, max_len: int, max_order: int,
     """
     groups = [(spec, g) for spec, g in catalog_groups(max_order, families)
               if not g.is_abelian]
-    for w in canonical_words(rank, max_len):
-        if len(w.syllables) <= 1:  # the identity or a power word
-            continue
-        for spec, g in groups:
-            finding = _scan_pair(spec, g, w, auto_cap, budget)
-            if (full or finding.skipped or finding.chiral
-                    or finding.weakly_chiral):
-                yield finding
+    words = [w for w in canonical_words(rank, max_len)
+             if len(w.syllables) > 1]  # not the identity or a power word
+    findings = (_scan_pair(spec, g, w, auto_cap, budget)
+                for w in words for spec, g in groups)
+    return (f for f in findings
+            if full or f.skipped or f.chiral or f.weakly_chiral)
 
 
 def replay(record: dict, auto_cap: int = DEFAULT_AUTO_CAP,

@@ -28,35 +28,34 @@ from chiralwords.groups import (
 )
 from chiralwords.words import parse_word
 
-# (word, rank, arity): words that skip x1, an arity above the word's rank,
-# arity 1, the identity word, a commutator, and words whose trailing
-# coordinates share one scan block on small groups.
+# (word, rank): words that skip x1, a rank above the word's largest
+# generator, rank 1, the identity word, a commutator, and words whose
+# trailing coordinates share one scan block on small groups.
 WORDS = [
-    ("x1 x2 x1^-1 x2^-1", 2, None),
-    ("x1 x3 x2 x4 x1^-1 x3^2", 4, None),
-    ("x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x1^-1 x5", 10, None),
-    ("x1^2 x2^3 x1 x2^-1", 2, None),
-    ("x1^5 x2^-7 x1^-1 x2^12", 2, None),
-    ("x2^2 x3", 3, None),
-    ("x2^2 x3", 3, 4),
-    ("x1 x2^-1", 2, 3),
-    ("x1^3", 1, 1),
-    ("x1^-2", 1, None),
-    ("e", 2, 2),
+    ("x1 x2 x1^-1 x2^-1", 2),
+    ("x1 x3 x2 x4 x1^-1 x3^2", 4),
+    ("x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x1^-1 x5", 10),
+    ("x1^2 x2^3 x1 x2^-1", 2),
+    ("x1^5 x2^-7 x1^-1 x2^12", 2),
+    ("x2^2 x3", 3),
+    ("x2^2 x3", 4),
+    ("x1 x2^-1", 3),
+    ("x1^3", 1),
+    ("x1^-2", 1),
+    ("e", 2),
 ]
 
 
 def small_cases(g):
-    """The WORDS cases with at most 30000 tuples on g."""
-    for text, rank, arity in WORDS:
-        w = parse_word(text, rank)
-        if g.order ** (arity or w.rank) <= 30000:
-            yield w, arity
+    """The WORDS words with at most 30000 tuples on g."""
+    for text, rank in WORDS:
+        if g.order ** rank <= 30000:
+            yield parse_word(text, rank)
 
 
-def assert_matches_naive(g, w, arity):
-    fast_img, fast_fibers = image(g, w, arity, want_fibers=True)
-    ref_img, ref_fibers = naive_image(g, w, arity)
+def assert_matches_naive(g, w):
+    fast_img, fast_fibers = image(g, w, want_fibers=True)
+    ref_img, ref_fibers = naive_image(g, w)
     assert fast_fibers.counts == ref_fibers.counts
     assert fast_img.members == ref_img.members
     assert fast_img.arity == ref_img.arity
@@ -88,8 +87,8 @@ def test_conjugacy_class_counts(spec, count):
 @pytest.mark.parametrize("spec", catalog_specs(24))
 def test_class_scan_matches_naive_on_catalog(spec):
     g = parse_group_spec(spec)
-    for w, arity in small_cases(g):
-        assert_matches_naive(g, w, arity)
+    for w in small_cases(g):
+        assert_matches_naive(g, w)
 
 
 def test_class_scan_matches_naive_on_relabelled_cayley_file(tmp_path):
@@ -106,13 +105,13 @@ def test_class_scan_matches_naive_on_relabelled_cayley_file(tmp_path):
     g = parse_group_spec(f"@{path}")
     assert g.table != base.table
     assert len(g.conjugacy_classes) == 5
-    for w, arity in small_cases(g):
-        assert_matches_naive(g, w, arity)
+    for w in small_cases(g):
+        assert_matches_naive(g, w)
     rng = random.Random(5)
     for _ in range(10):
         letters = [f"x{rng.randint(1, 3)}^{rng.choice([-2, -1, 1, 2])}"
                    for _ in range(rng.randint(2, 6))]
-        assert_matches_naive(g, parse_word(" ".join(letters), 3), None)
+        assert_matches_naive(g, parse_word(" ".join(letters), 3))
 
 
 def test_positive_chiral_and_weak_verdicts(monkeypatch):

@@ -222,7 +222,7 @@ def test_budget_exceeded_exit_3(capsys):
 def test_huge_arity_exits_3_at_once(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "image", "--group", "S3", "--word", "x1 x2",
-                       "--arity", str(10 ** 9))
+                       "--rank", str(10 ** 9))
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "exceed budget" in err and len(err) < 200
@@ -230,9 +230,49 @@ def test_huge_arity_exits_3_at_once(capsys):
 
 def test_negative_arity_is_named_negative(capsys):
     code, out, err = run(capsys, "image", "--group", "S3", "--word", "e",
-                         "--arity", "-1")
+                         "--rank", "-1")
     assert (code, out) == (2, "")
-    assert err == "error: arity -1 is negative\n"
+    assert err == "error: rank must be positive, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["image", "chiral", "weak-chiral"])
+def test_arity_flag_is_rejected(capsys, command):
+    # A word's rank is its map's arity: --rank N gives the map G^N -> G.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--group", "S3", "--word", "x1 x2", "--arity", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --arity 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--families", "nosuch"],
+                                   ["--max-len", "-1"]],
+                         ids=["families", "max-len"])
+def test_refused_search_leaves_out_alone(capsys, tmp_path, flags):
+    keep = tmp_path / "keep.jsonl"
+    keep.write_text('{"kept": true}\n')
+    code, out, err = run(capsys, "search", *flags, "--out", str(keep))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert keep.read_text() == '{"kept": true}\n'
+
+
+@pytest.mark.parametrize("rank", [3200, 25])
+def test_verify_refuses_a_rank_over_the_budget_at_once(capsys, rank):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "lemma1", "--rank", str(rank),
+                         "--max-order", "4", "--max-len", "2")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: rank {rank} gives 2^{rank} or more tuples on any "
+                   "group of order 2 or more, over budget 16777216\n")
+
+
+def test_verify_at_the_largest_rank_in_budget_checks_c2(capsys):
+    code, out, _ = run(capsys, "verify", "lemma1", "--rank", "24",
+                       "--max-order", "2", "--max-len", "1",
+                       "--format", "structured")
+    assert code == 0
+    [suite] = json.loads(out)["suites"]
+    assert suite["passed"] and suite["skipped"] == [] and suite["cases"] > 0
 
 
 @pytest.mark.parametrize("record, field", [

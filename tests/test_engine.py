@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -155,14 +156,37 @@ def test_image_matches_naive(rng):
 
 def test_image_identity_word_and_arity_padding():
     g = build_family("S3")
-    w = parse_word("e", 1)
-    img, fibers = image(g, w, arity=0, want_fibers=True)
+    img, fibers = image(g, parse_word("e", 1), want_fibers=True)
     assert img.member_indices == (0,)
-    assert sum(fibers.counts) == 1
-    # extra coordinates scale every fiber by |G|
+    assert fibers.counts == (g.order,) + (0,) * (g.order - 1)
+    # a coordinate the word does not read scales every fiber by |G|
     base = image(g, parse_word("x1^2", 1), want_fibers=True)[1]
-    padded = image(g, parse_word("x1^2", 1), arity=2, want_fibers=True)[1]
+    padded = image(g, parse_word("x1^2", 2), want_fibers=True)[1]
     assert padded.counts == tuple(c * g.order for c in base.counts)
+
+
+# --- the word's rank is the map's arity -----------------------------------------
+
+# Each scan entry point, with the last parameter that may be positional.
+SCAN_ENTRY_POINTS = [(image, "w"), (naive_image, "w"), (pair_verdicts, "w"),
+                     (is_chiral_pair, "w"), (is_gamma_chiral_pair, "w"),
+                     (is_weakly_chiral_pair, "gammas")]
+
+
+@pytest.mark.parametrize("fn, last", SCAN_ENTRY_POINTS,
+                         ids=[fn.__name__ for fn, _ in SCAN_ENTRY_POINTS])
+def test_scans_take_no_arity_and_keyword_only_options(fn, last):
+    params = inspect.signature(fn).parameters
+    assert "arity" not in params
+    options = list(params.values())[list(params).index(last) + 1:]
+    assert options and all(p.kind is inspect.Parameter.KEYWORD_ONLY
+                           for p in options), fn.__name__
+
+
+def test_a_positional_option_is_refused():
+    # Read positionally, 2 would be the budget and refuse the scan.
+    with pytest.raises(TypeError):
+        pair_verdicts(build_family("S3"), COMMUTATOR, 2)
 
 
 def test_budget_exceeded():
@@ -178,12 +202,12 @@ def test_budget_exceeded():
 def test_budget_refuses_a_huge_arity_without_the_power():
     # 6^(10^9) has about 7.8e8 digits; the check must not build it.
     with pytest.raises(BudgetExceededError) as exc:
-        image(build_family("S3"), parse_word("x1 x2", 2), arity=10 ** 9)
+        image(build_family("S3"), parse_word("x1 x2", 10 ** 9))
     assert str(exc.value) == (
         "6^1000000000 tuples exceed budget 16777216; "
         "lower the arity or group order, or raise --budget")
     # On the trivial group every arity has one tuple.
-    img = image(build_family("C1"), parse_word("x1 x2", 2), arity=10 ** 9)
+    img = image(build_family("C1"), parse_word("x1 x2", 10 ** 9))
     assert img.member_indices == (0,)
 
 
@@ -299,7 +323,7 @@ def reference_gamma_report(g, w, gamma_word=None, gamma_group=None):
     evaluations = g.order ** img.arity
     if gamma_word is not None:
         tw = apply_anti(w, gamma_word)
-        twisted, _ = naive_image(g, tw, max(img.arity, tw.support_rank))
+        twisted, _ = naive_image(g, tw)
         other, flavor = twisted.members, "word-anti"
         evaluations += g.order ** twisted.arity
     else:

@@ -104,7 +104,7 @@ def test_pullback_matches_direct_verdicts_on_the_catalog(spec):
     odd = gammas + (identity_map(g),)
     for text in WORDS:
         w = parse_word(text, 2)
-        v = pair_verdicts(g, w, 2)
+        v = pair_verdicts(g, w)
         check(v, gammas)
         check(v, odd)
         finding = _scan_pair(spec, g, w, AUTO_CAP, BUDGET)
@@ -123,7 +123,7 @@ def test_all_gammas_on_orbit_constant_fibers_need_no_pull(spec,
     assert gammas.orbit_minima == orbit_minima(g)
     verdicts = {}
     for text in WORDS:
-        v = pair_verdicts(g, parse_word(text, 2), 2)
+        v = pair_verdicts(g, parse_word(text, 2))
         assert weak_verdict_from_counts(g, v.fibers.counts,
                                         gammas.orbit_minima) is None
         verdicts[text] = v, reference(v, gammas)

@@ -21,7 +21,7 @@ from chiralwords.groups import (
     from_cayley_document,
     parse_group_spec,
 )
-from chiralwords.words import canonical_words, parse_word
+from chiralwords.words import Word, canonical_words, parse_word
 
 from conftest import metacyclic_c7_c9
 
@@ -50,31 +50,31 @@ GROUPS = NONABELIAN + [("@D24", relabelled(parse_group_spec("D24"), 24)),
 
 
 def cases(g):
-    """Rank-2 canonical words at arity 2 and 3, and RANK3 at arity 3, on
+    """Rank-2 canonical words at rank 2 and 3, and RANK3 at rank 3, on
     at most CAP tuples."""
     for w in canonical_words(2, 4):
         for arity in (2, 3):
             if w.syllables and g.order ** arity <= CAP:
-                yield w, arity
+                yield Word(arity, w.syllables)
     if g.order ** 3 <= CAP:
         for text in RANK3:
-            yield parse_word(text, 3), 3
+            yield parse_word(text, 3)
 
 
 @pytest.mark.parametrize("spec,g", GROUPS, ids=[s for s, _ in GROUPS])
 def test_both_scans_match_naive(spec, g):
     n = 0
-    for w, arity in cases(g):
-        _, ref = naive_image(g, w, arity)
+    for w in cases(g):
+        _, ref = naive_image(g, w)
         read = sorted({gen for gen, _ in w.syllables})
-        scale = g.order ** (arity - len(read))
-        assert image(g, w, arity, want_fibers=True)[1] == ref, (w, arity)
+        scale = g.order ** (w.rank - len(read))
+        assert image(g, w, want_fibers=True)[1] == ref, w
         # A word reading one coordinate takes the power-table closed form,
         # so only words reading two or more reach the scans.
         for scan in (engine._normal_scan, engine._class_scan):
             if len(read) >= 2:
                 counts = [c * scale for c in scan(g, w, read)]
-                assert tuple(counts) == ref.counts, (scan.__name__, w, arity)
+                assert tuple(counts) == ref.counts, (scan.__name__, w)
         n += 1
     assert n >= 17  # each nonidentity canonical word of rank 2, length <= 4
 
@@ -89,15 +89,15 @@ def no_scan(monkeypatch):
 
 
 def assert_powers_match_naive(g):
-    """x1^e for e = +-1..+-13 at arity 1 and 2, within 4,000 tuples: a power
+    """x1^e for e = +-1..+-13 at rank 1 and 2, within 4,000 tuples: a power
     map, whose fibers `image` reads off one power table on any group."""
     cases = 0
     for e in (sign * k for k in range(1, 14) for sign in (1, -1)):
-        w = parse_word(f"x1^{e}", 1)
         for arity in (1, 2):
+            w = parse_word(f"x1^{e}", arity)
             if g.order ** arity <= 4000:
-                assert image(g, w, arity, want_fibers=True) == \
-                    naive_image(g, w, arity), (g.name, e, arity)
+                assert image(g, w, want_fibers=True) == \
+                    naive_image(g, w), (g.name, e, arity)
                 cases += 1
     assert cases == 52
 

@@ -22,7 +22,7 @@ from chiralwords.groups import (
     parse_group_spec,
 )
 from chiralwords.verify import canonical_words
-from chiralwords.words import parse_word
+from chiralwords.words import Word, parse_word
 
 PRODUCTS = ["Q8xC2", "S3xC2", "S3xS3", "D8xC3", "C2xS3", "S3xC2xC2",
             "A4xC2", "C3xQ8"]
@@ -52,8 +52,9 @@ def test_product_counts_match_naive(spec):
     for w, rank in WORDS:
         for arity in (rank, rank + 1):
             if g.order ** arity <= 20000:
-                assert image(g, w, arity, want_fibers=True) == \
-                    naive_image(g, w, arity), (w, arity)
+                wd = Word(arity, w.syllables)
+                assert image(g, wd, want_fibers=True) == \
+                    naive_image(g, wd), (w, arity)
                 cases += 1
     assert cases >= len(WORDS)
 
@@ -70,10 +71,10 @@ def test_products_keep_their_factors_left_to_right():
 def test_product_scans_only_its_factors(scanned_orders):
     g = parse_group_spec("S4xC2")
     w = parse_word("x1^2 x2 x3^-1 x1 x2^3", 3)
-    _, fibers = image(g, w, 3, want_fibers=True)
+    _, fibers = image(g, w, want_fibers=True)
     assert scanned_orders == [24]  # S4; C2 takes the abelian closed form
     whole = dataclasses.replace(g, factors=None)
-    _, scanned = image(whole, w, 3, want_fibers=True)
+    _, scanned = image(whole, w, want_fibers=True)
     assert scanned_orders == [24, 48]
     assert fibers == scanned
 
@@ -103,13 +104,12 @@ def test_relabelled_cayley_file_is_scanned_whole(tmp_path, scanned_orders):
                                 "table": table, "labels": labels}))
     f = load_group_file(path)
     assert f.factors is None and f != g
-    for text, rank, arity in [("x1^2 x2^-1 x1 x2", 2, 2),
-                              ("x1 x2^2 x1^-1 x2^3", 2, 3),
-                              ("x1^3 x3 x2^-2 x3", 3, 3)]:
+    for text, rank in [("x1^2 x2^-1 x1 x2", 2), ("x1 x2^2 x1^-1 x2^3", 3),
+                       ("x1^3 x3 x2^-2 x3", 3)]:
         w = parse_word(text, rank)
         scanned_orders.clear()
-        _, file_fibers = image(f, w, arity, want_fibers=True)
-        _, fibers = image(g, w, arity, want_fibers=True)
+        _, file_fibers = image(f, w, want_fibers=True)
+        _, fibers = image(g, w, want_fibers=True)
         assert scanned_orders == [48, 24], text
         by_label = dict(zip(g.labels, fibers.counts))
         assert dict(zip(f.labels, file_fibers.counts)) == by_label, text
@@ -117,7 +117,7 @@ def test_relabelled_cayley_file_is_scanned_whole(tmp_path, scanned_orders):
 
 def test_product_budget_refusal_is_unchanged(capsys):
     code = main(["image", "--group", "S4xC2", "--word", "x1 x2",
-                 "--arity", "5", "--budget", "1000"])
+                 "--rank", "5", "--budget", "1000"])
     assert code == 3
     assert capsys.readouterr().err == (
         "error: 48^5 = 254803968 tuples exceed budget 1000; lower the "

@@ -2,7 +2,7 @@ import pytest
 
 from chiralwords import catalog, reports, verify
 from chiralwords.catalog import catalog_specs
-from chiralwords.engine import naive_image
+from chiralwords.engine import DEFAULT_BUDGET, naive_image
 from chiralwords.groups import build_family, parse_group_spec
 from chiralwords.verify import (
     Bounds,
@@ -126,6 +126,20 @@ def test_bounds_refuse_a_negative_sample_count(name):
     with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
         Bounds(**{name: -1})
     assert getattr(Bounds(**{name: 0}), name) == 0
+
+
+@pytest.mark.parametrize("rank, budget", [(25, DEFAULT_BUDGET), (3, 7),
+                                          (1, 1), (1, 0), (1, -5)])
+def test_bounds_refuse_a_rank_over_the_budget(rank, budget):
+    # 2^rank > budget: every group of order 2 or more would be skipped.
+    with pytest.raises(ValueError, match=f"rank {rank} .* budget {budget}"):
+        Bounds(rank=rank, budget=budget)
+
+
+@pytest.mark.parametrize("rank, budget", [(24, DEFAULT_BUDGET), (3, 8),
+                                          (2, 10), (1, 2)])
+def test_bounds_allow_a_rank_within_the_budget(rank, budget):
+    assert Bounds(rank=rank, budget=budget).rank == rank
 
 
 def test_reports_deterministic_given_seed():
