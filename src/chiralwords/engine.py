@@ -94,12 +94,12 @@ def _check_budget(g: FiniteGroup, arity: int, budget: int) -> int:
     if g.order >= 2 and arity > budget.bit_length():
         raise BudgetExceededError(
             f"{g.order}^{arity} tuples exceed budget {budget}; "
-            "lower the arity or group order, or raise --budget")
+            "lower the rank or group order, or raise --budget")
     total = g.order ** arity
     if total > budget:
         raise BudgetExceededError(
             f"{g.order}^{arity} = {total} tuples exceed budget {budget}; "
-            "lower the arity or group order, or raise --budget")
+            "lower the rank or group order, or raise --budget")
     return total
 
 
@@ -307,20 +307,38 @@ def image(g: FiniteGroup, w: Word, *, want_fibers: bool = False,
     """
     d = w.rank
     counts = _fiber_counts(g, w, d, budget)
-    img = WordImage(g, w, d, tuple(c > 0 for c in counts))
+    img = WordImage(g, w, d, tuple(map(bool, counts)))
     if want_fibers:
         return img, FiberDistribution(g, w, d, tuple(counts))
     return img
 
 
 def naive_image(g: FiniteGroup, w: Word, *, budget: int = DEFAULT_BUDGET):
-    """Reference oracle: direct evaluate() per tuple, no caching."""
+    """Reference oracle: counts every tuple of G^d, d = w.rank, evaluating w
+    left to right from the Cayley table and power tables alone.
+
+    The first d-1 coordinates run one tuple at a time; the last runs as a
+    vector of all |G| values, multiplied on the right by one syllable at a
+    time, so at most O(|G|) values are held at once. It reads none of the
+    facts the fast paths rest on (classes, normal subgroups, factors).
+    """
     d = w.rank
     _check_budget(g, d, budget)
-    counts = [0] * g.order
-    for tup in product(range(g.order), repeat=d):
-        counts[evaluate(g, w, tup)] += 1
-    return (WordImage(g, w, d, tuple(c > 0 for c in counts)),
+    n, table, cols = g.order, g.table, g.columns
+    last = d - 1
+    sylls = [(gen - 1, g.power_table(exp)) for gen, exp in w.syllables]
+    counts = [0] * n
+    for head in product(range(n), repeat=last):
+        vec = [0] * n
+        for c, pows in sylls:
+            if c == last:
+                vec = [table[v][x] for v, x in zip(vec, pows)]
+            else:
+                col = cols[pows[head[c]]]
+                vec = [col[v] for v in vec]
+        for v in vec:
+            counts[v] += 1
+    return (WordImage(g, w, d, tuple(map(bool, counts))),
             FiberDistribution(g, w, d, tuple(counts)))
 
 

@@ -845,7 +845,21 @@ def _image_search(g: FiniteGroup,
     return rec(0, [])
 
 
-@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _cached_by_group_and_cap(fn):
+    """An LRU of fn(g, cap) with one entry per (g, cap) however cap is
+    passed: f(g), f(g, 64) and f(g, cap=64) share it. The wrapper keeps
+    the LRU's `cache_info` and `cache_clear`."""
+    cached = functools.lru_cache(maxsize=GROUP_CACHE_SIZE)(fn)
+
+    @functools.wraps(fn)
+    def call(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP):
+        return cached(g, cap)
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
+@_cached_by_group_and_cap
 def enumerate_automorphisms(g: FiniteGroup,
                             cap: int = DEFAULT_AUTO_CAP) -> Tuple[GroupMap, ...]:
     """All automorphisms of g, in deterministic (image-array) order."""
@@ -869,7 +883,7 @@ class AllGammas(tuple):
     orbit_minima: Tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
+@_cached_by_group_and_cap
 def enumerate_anti_automorphisms(g: FiniteGroup,
                                  cap: int = DEFAULT_AUTO_CAP) -> AllGammas:
     """All anti-automorphisms, via the bijection with automorphisms."""

@@ -196,7 +196,7 @@ def test_budget_exceeded():
     # Skip reasons enter search records and verify digests.
     assert str(exc.value) == (
         "120^2 = 14400 tuples exceed budget 1000; "
-        "lower the arity or group order, or raise --budget")
+        "lower the rank or group order, or raise --budget")
 
 
 def test_budget_refuses_a_huge_arity_without_the_power():
@@ -205,7 +205,7 @@ def test_budget_refuses_a_huge_arity_without_the_power():
         image(build_family("S3"), parse_word("x1 x2", 10 ** 9))
     assert str(exc.value) == (
         "6^1000000000 tuples exceed budget 16777216; "
-        "lower the arity or group order, or raise --budget")
+        "lower the rank or group order, or raise --budget")
     # On the trivial group every arity has one tuple.
     img = image(build_family("C1"), parse_word("x1 x2", 10 ** 9))
     assert img.member_indices == (0,)

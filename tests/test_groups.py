@@ -227,6 +227,18 @@ def test_automorphism_cap():
         enumerate_automorphisms(build_family("S4"), cap=16)
 
 
+@pytest.mark.parametrize("enumerate_maps", [enumerate_automorphisms,
+                                            enumerate_anti_automorphisms])
+def test_every_call_form_shares_one_cache_entry(enumerate_maps):
+    g = build_family("S4")
+    enumerate_maps.cache_clear()
+    first = enumerate_maps(g)
+    assert enumerate_maps(g, 64) is first
+    assert enumerate_maps(g, cap=64) is first
+    info = enumerate_maps.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
 def test_inner_automorphisms():
     s3 = build_family("S3")
     assert inner_automorphism(s3, 0).images == identity_map(s3).images

@@ -121,7 +121,7 @@ def test_product_budget_refusal_is_unchanged(capsys):
     assert code == 3
     assert capsys.readouterr().err == (
         "error: 48^5 = 254803968 tuples exceed budget 1000; lower the "
-        "arity or group order, or raise --budget\n")
+        "rank or group order, or raise --budget\n")
 
 
 def test_a_file_of_the_same_table_is_the_same_group_without_factors():

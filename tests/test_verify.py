@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from chiralwords import catalog, reports, verify
@@ -13,6 +15,7 @@ from chiralwords.verify import (
     summarize,
 )
 from chiralwords.words import (
+    identity_word,
     nielsen_generators,
     parse_word,
     substitute,
@@ -175,12 +178,12 @@ def test_budget_exhaustion_is_recorded_not_fatal():
     assert report.passed  # skipped cases are not failures
 
 
-# Digests recorded before the suites shared one driver; cases and skips per
-# suite, in order lemma1, thm1, thm2, remark.
+# Digests of two runs that skip pairs, whose reasons enter the digest; cases
+# and skips per suite, in order lemma1, thm1, thm2, remark.
 SKIP_RUNS = [
     (Bounds(max_order=8, max_word_len=2, theta_samples=1, gamma_samples=1,
             budget=10),
-     "1f2bfc503732b24e9486e5763bf01aac8f2079eacce6c3be0b28884abfffc0b6",
+     "62681832e9358f1269652db5f2aa1f20657e85278aeb2836a61602f1db2f427b",
      [(28, 52), (12, 52), (16, 52), (28, 52)]),
     (Bounds(max_order=12, max_word_len=2, theta_samples=1, gamma_samples=1,
             auto_cap=2),
@@ -208,3 +211,118 @@ def test_report_structure():
     assert summary["passed"] is True
     assert [s["suite"] for s in summary["suites"]] == \
         ["lemma1", "thm1", "thm2", "remark"]
+
+
+# --- each suite can fail ------------------------------------------------------
+
+# One group and a few words: enough for every check to see a broken input.
+FAULT_BOUNDS = Bounds(max_order=6, max_word_len=2, theta_samples=1,
+                      gamma_samples=1, families=("S",))
+
+# The reproduction fields of each failure record, by check.
+FAILURE_FIELDS = {
+    "image-invariance-under-theta": {"theta_images", "theta_word",
+                                     "members_w", "members_theta_w"},
+    "image-invariance-under-zeta": {"zeta_index", "zeta_images",
+                                    "members_w"},
+    "image-of-gamma-w-equals-image-of-w-inverse": {
+        "theta_images", "gamma_word", "members_gamma_w",
+        "members_w_inverse"},
+    "gamma-image-equals-inverted-image": {"zeta_index", "gamma_images",
+                                          "members_w"},
+    "twisted-fiber-identity": {"zeta_index", "gamma_images",
+                               "direct_counts", "predicted_counts"},
+    "weak-verdict-gamma-independence": {"verdicts"},
+}
+
+
+def failures_named(suite, check):
+    """The failure records of `check` when `suite` runs on FAULT_BOUNDS;
+    asserts there is one and that each carries its reproduction fields."""
+    report = run_suite(suite, FAULT_BOUNDS)
+    assert not report.passed
+    found = [f for f in report.failures if f["check"] == check]
+    assert found, f"{suite} recorded no {check}: {report.failures[:1]}"
+    for record in found:
+        assert set(record) == {"check", "group", "word"} | FAILURE_FIELDS[check]
+        assert record["group"] == "S3"
+    return found
+
+
+def as_identity_word(w, *args):
+    """A corrupted sampled word: the identity, whose image is {e}."""
+    return identity_word(w.rank)
+
+
+def identity_flipped(original):
+    """map_set with the identity's membership flipped; every G_w holds e."""
+    def corrupted(m, members):
+        mapped = original(m, members)
+        return (not mapped[0],) + mapped[1:]
+    return corrupted
+
+
+def test_lemma1_fails_on_a_corrupted_theta_word(monkeypatch):
+    monkeypatch.setattr(verify, "substitute", as_identity_word)
+    for record in failures_named("lemma1", "image-invariance-under-theta"):
+        assert record["theta_word"] == "e"
+        assert record["members_theta_w"] == [0]
+        assert record["members_w"] != [0]
+
+
+def test_lemma1_fails_on_a_corrupted_map_set(monkeypatch):
+    monkeypatch.setattr(verify, "map_set", identity_flipped(verify.map_set))
+    failures_named("lemma1", "image-invariance-under-zeta")
+
+
+def test_thm1_fails_on_a_corrupted_gamma_word(monkeypatch):
+    monkeypatch.setattr(verify, "apply_anti", as_identity_word)
+    for record in failures_named(
+            "thm1", "image-of-gamma-w-equals-image-of-w-inverse"):
+        assert record["gamma_word"] == "e"
+        assert record["members_gamma_w"] == [0]
+        assert record["members_w_inverse"] != [0]
+
+
+def test_thm2_fails_on_a_corrupted_map_set(monkeypatch):
+    monkeypatch.setattr(verify, "map_set", identity_flipped(verify.map_set))
+    failures_named("thm2", "gamma-image-equals-inverted-image")
+
+
+def test_remark_fails_on_a_perturbed_direct_count(monkeypatch):
+    original = verify.naive_image
+
+    def perturbed(g, w, **kwargs):
+        img, fibers = original(g, w, **kwargs)
+        counts = list(fibers.counts)
+        counts[1] += 1
+        return img, dataclasses.replace(fibers, counts=tuple(counts))
+
+    monkeypatch.setattr(verify, "naive_image", perturbed)
+    found = failures_named("remark", "twisted-fiber-identity")
+    for record in found:
+        # Only gamma(1) is off, by the one added tuple.
+        diff = [a - b for a, b in zip(record["direct_counts"],
+                                      record["predicted_counts"])]
+        gamma_of_1 = record["gamma_images"][1]
+        assert diff == [int(x == gamma_of_1) for x in range(6)]
+    # Every gamma of every word is a case that fails.
+    assert len(found) == 6 * len(canonical_words(2, 2))
+
+
+def test_remark_fails_on_fibers_that_are_not_aut_invariant(monkeypatch):
+    original = verify.image
+
+    def skewed(g, w, **kwargs):
+        img, fibers = original(g, w, **kwargs)
+        # One more tuple at an involution: inversion fixes it, but a
+        # conjugation moves it, so the weak verdicts of some gammas differ.
+        t = next(x for x in g.elements() if x and g.inverses[x] == x)
+        counts = list(fibers.counts)
+        counts[t] += 1
+        return img, dataclasses.replace(fibers, counts=tuple(counts))
+
+    monkeypatch.setattr(verify, "image", skewed)
+    for record in failures_named("remark", "weak-verdict-gamma-independence"):
+        assert set(record["verdicts"]) == {False, True}
+    failures_named("remark", "twisted-fiber-identity")
