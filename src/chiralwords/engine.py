@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from itertools import compress, product
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -39,14 +38,25 @@ class BudgetExceededError(RuntimeError):
     """The tuple-space size exceeds the configured evaluation budget."""
 
 
-@dataclass(frozen=True)
 class WordImage:
-    """The image G_w of a word map, as a dense membership set."""
+    """The image G_w of a word map, as a dense membership set. Two images
+    are equal when their group, word and members are."""
 
-    group: FiniteGroup
-    word: Word
-    arity: int
-    members: Tuple[bool, ...]
+    def __init__(self, group: FiniteGroup, word: Word,
+                 members: Tuple[bool, ...]):
+        self.group = group
+        self.word = word
+        self.members = members
+
+    def __eq__(self, other):
+        if other.__class__ is not WordImage:
+            return NotImplemented
+        return (self.group == other.group and self.word == other.word
+                and self.members == other.members)
+
+    @property
+    def arity(self) -> int:
+        return self.word.rank
 
     @property
     def member_indices(self) -> Tuple[int, ...]:
@@ -57,14 +67,24 @@ class WordImage:
         return sum(self.members)
 
 
-@dataclass(frozen=True)
 class FiberDistribution:
-    """Per-element preimage counts of a word map; sums to |G|^arity."""
+    """Per-element preimage counts of a word map; sums to |G|^arity. Two
+    distributions are equal when their group, word and counts are."""
 
-    group: FiniteGroup
-    word: Word
-    arity: int
-    counts: Tuple[int, ...]
+    def __init__(self, group: FiniteGroup, word: Word, counts: Tuple[int, ...]):
+        self.group = group
+        self.word = word
+        self.counts = counts
+
+    def __eq__(self, other):
+        if other.__class__ is not FiberDistribution:
+            return NotImplemented
+        return (self.group == other.group and self.word == other.word
+                and self.counts == other.counts)
+
+    @property
+    def arity(self) -> int:
+        return self.word.rank
 
 
 def evaluate(g: FiniteGroup, w: Word, tup: Sequence[int]) -> int:
@@ -123,13 +143,12 @@ def normal_wins(g: FiniteGroup, k: int) -> bool:
                        < len(g.conjugacy_classes) * g.order ** (k - 1))
 
 
-def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
-                  budget: int) -> List[int]:
-    """Exact fiber counts of w over G^arity: in closed form on abelian
-    groups and for words reading one coordinate, as an outer product on
-    direct products, and on the rest from a scan over an abelian normal
-    subgroup (`_normal_scan`) or a class-weighted scan (`_class_scan`),
-    whichever `normal_wins` picks.
+def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
+    """Exact fiber counts of w over G^arity, arity = w.rank: in closed form
+    on abelian groups and for words reading one coordinate, as an outer
+    product on direct products, and on the rest from a scan over an
+    abelian normal subgroup (`_normal_scan`) or a class-weighted scan
+    (`_class_scan`), whichever `normal_wins` picks.
 
     On an abelian group (every conjugacy class a singleton) w(t) is
     prod t_i^{e_i}, where e_i is the exponent sum of x_i, so w is a
@@ -155,6 +174,7 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
     when its scan would be, and it is checked before either scan runs.
     A coordinate the word does not read multiplies every count by |G|.
     """
+    arity = w.rank
     _check_budget(g, arity, budget)
     n = g.order
     read = sorted({gen for gen, _ in w.syllables})
@@ -171,8 +191,8 @@ def _fiber_counts(g: FiniteGroup, w: Word, arity: int,
         return counts
     if g.factors is not None:  # G = A x B: N_w(a, b) = N_w^A(a) N_w^B(b)
         a, b = g.factors
-        counts_b = _fiber_counts(b, w, arity, budget)
-        return [x * y for x in _fiber_counts(a, w, arity, budget)
+        counts_b = _fiber_counts(b, w, budget)
+        return [x * y for x in _fiber_counts(a, w, budget)
                 for y in counts_b]
     k = len(read)
     scan = _normal_scan if normal_wins(g, k) else _class_scan
@@ -305,11 +325,10 @@ def image(g: FiniteGroup, w: Word, *, want_fibers: bool = False,
     Returns a WordImage, or a (WordImage, FiberDistribution) pair when
     want_fibers is set.
     """
-    d = w.rank
-    counts = _fiber_counts(g, w, d, budget)
-    img = WordImage(g, w, d, tuple(map(bool, counts)))
+    counts = _fiber_counts(g, w, budget)
+    img = WordImage(g, w, tuple(map(bool, counts)))
     if want_fibers:
-        return img, FiberDistribution(g, w, d, tuple(counts))
+        return img, FiberDistribution(g, w, tuple(counts))
     return img
 
 
@@ -338,8 +357,8 @@ def naive_image(g: FiniteGroup, w: Word, *, budget: int = DEFAULT_BUDGET):
                 vec = [col[v] for v in vec]
         for v in vec:
             counts[v] += 1
-    return (WordImage(g, w, d, tuple(map(bool, counts))),
-            FiberDistribution(g, w, d, tuple(counts)))
+    return (WordImage(g, w, tuple(map(bool, counts))),
+            FiberDistribution(g, w, tuple(counts)))
 
 
 def invert_set(g: FiniteGroup, members: Sequence[bool]) -> Tuple[bool, ...]:
@@ -355,24 +374,34 @@ def map_set(m: GroupMap, members: Sequence[bool]) -> Tuple[bool, ...]:
     return tuple(out)
 
 
-@dataclass
 class ChiralityReport:
     """Verdicts with witnesses for one (group, word) chirality check."""
 
-    group_name: str
-    group_order: int
-    word_text: str
-    arity: int
-    evaluations: int
-    chiral: Optional[bool] = None
-    weakly_chiral: Optional[bool] = None
-    chiral_witness: Optional[int] = None
-    weak_witness: Optional[int] = None
-    gamma_results: List[dict] = field(default_factory=list)
-    all_gammas_agree: Optional[bool] = None
-    members: Tuple[int, ...] = ()
-    counts: Optional[Tuple[int, ...]] = None
-    wall_time_s: float = 0.0
+    def __init__(self, group_name: str, group_order: int, word_text: str,
+                 arity: int, evaluations: int, *,
+                 chiral: Optional[bool] = None,
+                 weakly_chiral: Optional[bool] = None,
+                 chiral_witness: Optional[int] = None,
+                 weak_witness: Optional[int] = None,
+                 gamma_results: Optional[List[dict]] = None,
+                 all_gammas_agree: Optional[bool] = None,
+                 members: Tuple[int, ...] = (),
+                 counts: Optional[Tuple[int, ...]] = None,
+                 wall_time_s: float = 0.0):
+        self.group_name = group_name
+        self.group_order = group_order
+        self.word_text = word_text
+        self.arity = arity
+        self.evaluations = evaluations
+        self.chiral = chiral
+        self.weakly_chiral = weakly_chiral
+        self.chiral_witness = chiral_witness
+        self.weak_witness = weak_witness
+        self.gamma_results = [] if gamma_results is None else gamma_results
+        self.all_gammas_agree = all_gammas_agree
+        self.members = members
+        self.counts = counts
+        self.wall_time_s = wall_time_s
 
     def to_structured(self) -> dict:
         return {

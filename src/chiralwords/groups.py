@@ -17,7 +17,6 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -32,8 +31,8 @@ MAX_AUTOMORPHISMS = 2 ** 15
 MAX_GROUP_FILE_BYTES = 16 * DEFAULT_ORDER_CAP ** 2
 # Distinct group-file contents kept parsed and validated per process.
 FILE_CACHE_SIZE = 16
-# Entries per LRU: built-in groups by spec, and Aut(G) and AA(G) by (group,
-# cap). The catalog at order <= 32 has 55 groups, so none evicts.
+# Entries per LRU: built-in groups by spec, and Aut(G) and AA(G) by group.
+# The catalog at order <= 32 has 55 groups, so none evicts.
 GROUP_CACHE_SIZE = 64
 
 AUTOMORPHISM = "automorphism"
@@ -61,43 +60,53 @@ class _fact(functools.cached_property):
 
     def __set_name__(self, owner, name):
         functools.cached_property.__set_name__(self, owner, name)
-        object.__setattr__(object.__new__(owner), name, None)
+        setattr(object.__new__(owner), name, None)
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return super().__get__(instance, owner)
         value = self.func(instance)
-        object.__setattr__(instance, self.attrname, value)
+        setattr(instance, self.attrname, value)
         return value
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """Group given by its full multiplication table; identity is index 0.
-    Facts every check reads are computed on first use and kept on it."""
+    Facts every check reads are computed on first use and kept on it.
 
-    name: str
-    order: int
-    table: Tuple[Tuple[int, ...], ...]
-    inverses: Tuple[int, ...]
-    labels: Tuple[str, ...]
-    # The two factors of a group built by `direct_product`, whose element
-    # i*|B| + j is the pair (i, j); None for every other group. Equal
-    # tables compare equal whatever their factors.
-    factors: Optional[Tuple["FiniteGroup", "FiniteGroup"]] = field(
-        default=None, compare=False, repr=False)
-    # Hashing the table costs O(|G|^2), and every group-keyed LRU lookup
-    # hashes the group, so the hash is computed on the first lookup and kept.
-    _hash: Optional[int] = field(default=None, init=False, compare=False,
-                                 repr=False)
-    _powers: Dict[int, Tuple[int, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    `factors` holds the two factors of a group built by `direct_product`,
+    whose element i*|B| + j is the pair (i, j); None for every other group.
+    Equality and hashing read the name, order, table, inverses and labels,
+    so equal tables compare equal whatever their factors.
+    """
+
+    def __init__(self, name: str, order: int,
+                 table: Tuple[Tuple[int, ...], ...], inverses: Tuple[int, ...],
+                 labels: Tuple[str, ...],
+                 factors: Optional[Tuple["FiniteGroup", "FiniteGroup"]] = None):
+        self.name = name
+        self.order = order
+        self.table = table
+        self.inverses = inverses
+        self.labels = labels
+        self.factors = factors
+        # Hashing the table costs O(|G|^2), and every group-keyed LRU
+        # lookup hashes the group, so the hash is computed on the first
+        # lookup and kept.
+        self._hash: Optional[int] = None
+        self._powers: Dict[int, Tuple[int, ...]] = {}
+
+    def _key(self) -> tuple:
+        return self.name, self.order, self.table, self.inverses, self.labels
+
+    def __eq__(self, other):
+        if other.__class__ is not FiniteGroup:
+            return NotImplemented
+        return self is other or self._key() == other._key()
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((
-                self.name, self.order, self.table, self.inverses,
-                self.labels)))
+            self._hash = hash(self._key())
         return self._hash
 
     def mul(self, a: int, b: int) -> int:
@@ -230,18 +239,19 @@ class FiniteGroup:
                   if min(table[a][x] for a in members) == x))
 
 
-@dataclass
 class AbelianNormal:
     """An abelian normal subgroup A with generators `gens`, membership mask
     `in_a`, a transversal (one element per coset A t), and `_normal_scan`'s
     tuple blocks by coordinate count and closures by generator set."""
 
-    members: Tuple[int, ...]
-    gens: Tuple[int, ...]
-    in_a: Tuple[bool, ...]
-    transversal: Tuple[int, ...]
-    blocks: Dict[int, List[Tuple[int, ...]]] = field(default_factory=dict)
-    subgroups: Dict[frozenset, Tuple[int, ...]] = field(default_factory=dict)
+    def __init__(self, members: Tuple[int, ...], gens: Tuple[int, ...],
+                 in_a: Tuple[bool, ...], transversal: Tuple[int, ...]):
+        self.members = members
+        self.gens = gens
+        self.in_a = in_a
+        self.transversal = transversal
+        self.blocks: Dict[int, List[Tuple[int, ...]]] = {}
+        self.subgroups: Dict[frozenset, Tuple[int, ...]] = {}
 
 
 def _build_group(name: str, table: Sequence[Sequence[int]],
@@ -666,7 +676,6 @@ def _built_in_group(spec: str) -> FiniteGroup:
 
 # --- automorphisms and anti-automorphisms ---------------------------------
 
-@dataclass(frozen=True)
 class GroupMap:
     """Bijection of a group verified as automorphism or anti-automorphism.
 
@@ -676,14 +685,20 @@ class GroupMap:
     entry point for outside data: user-given maps and enumeration results.
     Maps derived from a checked map or from the group itself (inverses, the
     A(G) <-> AA(G) correspondence, identity and inversion) obey the law by
-    construction and are built by `_derived`, which skips the check.
+    construction and are built by `_derived`, which skips the check. Two
+    maps are equal when their group, images and kind are.
     """
 
-    group: FiniteGroup
-    images: Tuple[int, ...]
-    kind: str
+    def __init__(self, group: FiniteGroup, images: Tuple[int, ...], kind: str):
+        self.group = group
+        self.images = images
+        self.kind = kind
+        self.__post_init__()
 
     def __post_init__(self):
+        """The law check. `__init__` calls it through `self`, so a wrapper
+        set on the class sees every checked construction; perfbench traces
+        it under this name as `groups.map_check`."""
         g, images = self.group, self.images
         try:  # n entries that cover all n elements: a permutation
             bijective = (len(images) == g.order
@@ -708,10 +723,19 @@ class GroupMap:
                  kind: str) -> "GroupMap":
         """A map whose law follows from a checked map or the group law."""
         m = object.__new__(cls)
-        object.__setattr__(m, "group", group)
-        object.__setattr__(m, "images", images)
-        object.__setattr__(m, "kind", kind)
+        m.group = group
+        m.images = images
+        m.kind = kind
         return m
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupMap:
+            return NotImplemented
+        return (self.group == other.group and self.images == other.images
+                and self.kind == other.kind)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.images, self.kind))
 
     def __call__(self, a: int) -> int:
         return self.images[a]
@@ -845,27 +869,29 @@ def _image_search(g: FiniteGroup,
     return rec(0, [])
 
 
-def _cached_by_group_and_cap(fn):
-    """An LRU of fn(g, cap) with one entry per (g, cap) however cap is
-    passed: f(g), f(g, 64) and f(g, cap=64) share it. The wrapper keeps
-    the LRU's `cache_info` and `cache_clear`."""
+def _cached_by_group(fn):
+    """An LRU of fn(g) with one entry per group, called as f(g, cap=...).
+    The cap only decides whether |G| admits g, so it is checked before the
+    lookup: every cap that admits g shares g's entry. The wrapper keeps the
+    LRU's `cache_info` and `cache_clear`."""
     cached = functools.lru_cache(maxsize=GROUP_CACHE_SIZE)(fn)
 
     @functools.wraps(fn)
     def call(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP):
-        return cached(g, cap)
+        if g.order > cap:
+            raise CapExceededError(
+                f"|G| = {g.order} exceeds automorphism cap {cap}")
+        return cached(g)
 
+    del call.__wrapped__  # whose signature lacks the cap
     call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
     return call
 
 
-@_cached_by_group_and_cap
-def enumerate_automorphisms(g: FiniteGroup,
-                            cap: int = DEFAULT_AUTO_CAP) -> Tuple[GroupMap, ...]:
-    """All automorphisms of g, in deterministic (image-array) order."""
-    if g.order > cap:
-        raise CapExceededError(
-            f"|G| = {g.order} exceeds automorphism cap {cap}")
+@_cached_by_group
+def enumerate_automorphisms(g: FiniteGroup) -> Tuple[GroupMap, ...]:
+    """All automorphisms of g, in deterministic (image-array) order; called
+    as enumerate_automorphisms(g, cap), it refuses a g of order above cap."""
     arrays = list(itertools.islice(_image_search(g, g), MAX_AUTOMORPHISMS + 1))
     if len(arrays) > MAX_AUTOMORPHISMS:
         raise CapExceededError(f"{g.name} has more than {MAX_AUTOMORPHISMS} "
@@ -883,11 +909,10 @@ class AllGammas(tuple):
     orbit_minima: Tuple[int, ...]
 
 
-@_cached_by_group_and_cap
-def enumerate_anti_automorphisms(g: FiniteGroup,
-                                 cap: int = DEFAULT_AUTO_CAP) -> AllGammas:
+@_cached_by_group
+def enumerate_anti_automorphisms(g: FiniteGroup) -> AllGammas:
     """All anti-automorphisms, via the bijection with automorphisms."""
-    autos = enumerate_automorphisms(g, cap)
+    autos = enumerate_automorphisms(g, g.order)  # g passed the caller's cap
     gammas = AllGammas(anti_from_auto(zeta) for zeta in autos)
     gammas.orbit_minima = tuple(map(min, zip(*[z.images for z in autos])))
     return gammas

@@ -9,7 +9,6 @@ powers ((g^k)^-1 = (g^-1)^k lands in the image).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import catalog_groups
@@ -34,22 +33,27 @@ class MalformedRecordError(ValueError):
     """A finding record cannot be replayed."""
 
 
-@dataclass
 class Finding:
     """One scanned (group, word) pair with verdicts and witnesses."""
 
-    group_spec: str
-    group_order: int
-    word_text: str
-    arity: int
-    chiral: Optional[bool]
-    weakly_chiral: Optional[bool]
-    gammas_agree: Optional[bool]
-    chiral_witness: Optional[int]
-    weak_witness: Optional[int]
-    image_size: Optional[int]
-    evaluations: int
-    skipped: Optional[str] = None
+    def __init__(self, group_spec: str, group_order: int, word_text: str,
+                 arity: int, chiral: Optional[bool],
+                 weakly_chiral: Optional[bool], gammas_agree: Optional[bool],
+                 chiral_witness: Optional[int], weak_witness: Optional[int],
+                 image_size: Optional[int], evaluations: int,
+                 skipped: Optional[str] = None):
+        self.group_spec = group_spec
+        self.group_order = group_order
+        self.word_text = word_text
+        self.arity = arity
+        self.chiral = chiral
+        self.weakly_chiral = weakly_chiral
+        self.gammas_agree = gammas_agree
+        self.chiral_witness = chiral_witness
+        self.weak_witness = weak_witness
+        self.image_size = image_size
+        self.evaluations = evaluations
+        self.skipped = skipped
 
     @property
     def highlighted(self) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .catalog import catalog_groups
@@ -48,41 +47,62 @@ from .words import (
 MAX_RECORDED_FAILURES = 100
 
 
-@dataclass
 class Bounds:
-    """Parameter bounds for one verification run."""
+    """Parameter bounds for one verification run. The class attributes are
+    the defaults, which the CLI reads as well."""
 
-    max_order: int = 16
-    max_word_len: int = 4
-    rank: int = 2
-    theta_samples: int = 5
-    gamma_samples: int = 10
-    theta_length: int = 5
-    seed: int = 0
-    auto_cap: int = DEFAULT_AUTO_CAP
-    budget: int = DEFAULT_BUDGET
+    max_order = 16
+    max_word_len = 4
+    rank = 2
+    theta_samples = 5
+    gamma_samples = 10
+    theta_length = 5
+    seed = 0
+    auto_cap = DEFAULT_AUTO_CAP
+    budget = DEFAULT_BUDGET
     families: Optional[Tuple[str, ...]] = None
 
-    def __post_init__(self):
-        for name in ("theta_samples", "gamma_samples"):  # range(-1) is empty
-            if (count := getattr(self, name)) < 0:
+    def __init__(self, max_order: int = max_order,
+                 max_word_len: int = max_word_len, rank: int = rank,
+                 theta_samples: int = theta_samples,
+                 gamma_samples: int = gamma_samples,
+                 theta_length: int = theta_length, seed: int = seed,
+                 auto_cap: int = auto_cap, budget: int = budget,
+                 families: Optional[Tuple[str, ...]] = families):
+        for name, count in (("theta_samples", theta_samples),
+                            ("gamma_samples", gamma_samples)):
+            if count < 0:  # range(-1) is empty
                 raise ValueError(f"{name} must be nonnegative, got {count}")
         # 2^rank > budget: every group but C1 would be a budget skip, after
         # O(rank^2) work per sampled automorphism. Decided without 2^rank.
-        if self.budget < 1 or self.rank >= self.budget.bit_length():
+        if budget < 1 or rank >= budget.bit_length():
             raise ValueError(
-                f"rank {self.rank} gives 2^{self.rank} or more tuples on any "
-                f"group of order 2 or more, over budget {self.budget}")
+                f"rank {rank} gives 2^{rank} or more tuples on any "
+                f"group of order 2 or more, over budget {budget}")
+        # Set in this order: `VerificationReport.to_structured` writes the
+        # instance's attributes, in order, as the report's "bounds".
+        self.max_order = max_order
+        self.max_word_len = max_word_len
+        self.rank = rank
+        self.theta_samples = theta_samples
+        self.gamma_samples = gamma_samples
+        self.theta_length = theta_length
+        self.seed = seed
+        self.auto_cap = auto_cap
+        self.budget = budget
+        self.families = families
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    bounds: Bounds
-    cases: int = 0
-    failures: List[dict] = field(default_factory=list)
-    skipped: List[dict] = field(default_factory=list)
-    wall_time_s: float = 0.0
+    """One suite's cases, failure records and skips over one run."""
+
+    def __init__(self, suite: str, bounds: Bounds):
+        self.suite = suite
+        self.bounds = bounds
+        self.cases = 0
+        self.failures: List[dict] = []
+        self.skipped: List[dict] = []
+        self.wall_time_s = 0.0
 
     @property
     def passed(self) -> bool:
@@ -97,7 +117,7 @@ class VerificationReport:
             "schema_version": 1,
             "kind": "verification-report",
             "suite": self.suite,
-            "bounds": asdict(self.bounds),
+            "bounds": dict(vars(self.bounds)),
             "cases": self.cases,
             "passed": self.passed,
             "failures": self.failures,

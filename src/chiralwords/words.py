@@ -8,7 +8,6 @@ generator. Generators are indexed 1..rank. All values here are immutable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 Syllable = Tuple[int, int]  # (generator index 1..rank, nonzero exponent)
@@ -34,23 +33,21 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class Word:
-    """A reduced word in F_rank, as run-length encoded syllables."""
+    """A reduced word in F_rank, as run-length encoded syllables.
 
-    rank: int
-    syllables: Tuple[Syllable, ...]
-    # Largest generator index used (0 for the identity word), read by every
-    # `evaluate`; set by the validation walk, outside equality and hashing.
-    support_rank: int = field(init=False, compare=False, repr=False)
+    Two words are equal when their rank and syllables are. `support_rank`
+    is the largest generator index used (0 for the identity word), read by
+    every `evaluate`; it is set by the validation walk.
+    """
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
+    def __init__(self, rank: int, syllables: Tuple[Syllable, ...]):
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
         prev_gen, top = None, 0
-        for gen, exp in self.syllables:
-            if not 1 <= gen <= self.rank:
-                raise ValueError(f"generator x{gen} outside 1..{self.rank}")
+        for gen, exp in syllables:
+            if not 1 <= gen <= rank:
+                raise ValueError(f"generator x{gen} outside 1..{rank}")
             if exp == 0:
                 raise ValueError("syllable with exponent 0")
             if gen == prev_gen:
@@ -58,7 +55,20 @@ class Word:
             prev_gen = gen
             if gen > top:
                 top = gen
-        object.__setattr__(self, "support_rank", top)
+        self.rank = rank
+        self.syllables = syllables
+        self.support_rank = top
+
+    def __eq__(self, other):
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.rank == other.rank and self.syllables == other.syllables
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.syllables))
+
+    def __repr__(self) -> str:
+        return f"Word(rank={self.rank}, syllables={self.syllables})"
 
     @property
     def is_identity(self) -> bool:
@@ -173,7 +183,6 @@ def concat(a: Word, b: Word) -> Word:
     return reduce_syllables(a.syllables + b.syllables, a.rank)
 
 
-@dataclass(frozen=True)
 class FreeGroupEndo:
     """Endomorphism of F_rank by generator images.
 
@@ -181,16 +190,16 @@ class FreeGroupEndo:
     built from Nielsen generators and carries the images of its inverse.
     """
 
-    rank: int
-    images: Tuple[Word, ...]
-    inverse_images: Optional[Tuple[Word, ...]] = None
-
-    def __post_init__(self):
-        if len(self.images) != self.rank:
+    def __init__(self, rank: int, images: Tuple[Word, ...],
+                 inverse_images: Optional[Tuple[Word, ...]] = None):
+        if len(images) != rank:
             raise ValueError("need one image per generator")
-        for img in self.images:
-            if img.rank != self.rank:
+        for img in images:
+            if img.rank != rank:
                 raise ValueError("image rank mismatch")
+        self.rank = rank
+        self.images = images
+        self.inverse_images = inverse_images
 
     def inverse(self) -> "FreeGroupEndo":
         if self.inverse_images is None:
@@ -280,15 +289,13 @@ def random_automorphism(rank: int, length: int, seed: int) -> FreeGroupEndo:
     return endo
 
 
-@dataclass(frozen=True)
 class FreeAntiAuto:
     """Anti-automorphism of F_rank, represented as w -> theta(w^-1)."""
 
-    theta: FreeGroupEndo
-
-    def __post_init__(self):
-        if self.theta.inverse_images is None:
+    def __init__(self, theta: FreeGroupEndo):
+        if theta.inverse_images is None:
             raise ValueError("theta must be automorphism-witnessed")
+        self.theta = theta
 
     @property
     def rank(self) -> int:

@@ -45,7 +45,11 @@ from chiralwords.words import (
     substitute,
 )
 
-from conftest import brute_force_reduced_words, random_reduced_word
+from conftest import (
+    brute_force_reduced_words,
+    metacyclic_c7_c9,
+    random_reduced_word,
+)
 
 GRID = Bounds(max_order=16, max_word_len=4, rank=2,
               theta_samples=5, gamma_samples=10, seed=0)
@@ -209,6 +213,12 @@ def test_criterion_09_determinism():
     report_line(9, "verify/search stable digests identical across two runs", ok)
 
 
+def is_chiral_witness(g, w, x):
+    """x is in G_w and x^-1 is not."""
+    members = image(g, w).members
+    return members[x] and not members[g.inv(x)]
+
+
 def test_criterion_10_search_replay():
     start = time.perf_counter()
     findings = list(search_chiral(rank=2, max_len=6, max_order=24, full=True))
@@ -218,10 +228,14 @@ def test_criterion_10_search_replay():
         ok &= replay_ok
         if f.chiral:
             g = parse_group_spec(f.group_spec)
-            w = parse_word(f.word_text, f.arity)
-            img = image(g, w, f.arity)
-            x = f.chiral_witness
-            ok &= img.members[x] and not img.members[g.inv(x)]
+            ok &= is_chiral_witness(g, parse_word(f.word_text, f.arity),
+                                    f.chiral_witness)
+    # The catalog has no chiral pair, so the witness check also runs on a
+    # pinned one: x1^-12 x2 x1^3 x2^2 on C7:C9.
+    g = metacyclic_c7_c9()
+    w = parse_word("x1^-12 x2 x1^3 x2^2", 2)
+    witness = is_chiral_pair(g, w).chiral_witness
+    ok &= witness is not None and is_chiral_witness(g, w, witness)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 30 * 60
     report_line(10, f"sweep + replay of {len(findings)} findings "

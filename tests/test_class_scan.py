@@ -121,8 +121,8 @@ def test_positive_chiral_and_weak_verdicts(monkeypatch):
     # to a positive answer.
     g = build_family("C3")
     w = parse_word("x1", 1)
-    fake = (WordImage(g, w, 1, (True, True, False)),
-            FiberDistribution(g, w, 1, (1, 2, 0)))
+    fake = (WordImage(g, w, (True, True, False)),
+            FiberDistribution(g, w, (1, 2, 0)))
     monkeypatch.setattr(engine, "image",
                         lambda *args, **kwargs: fake)
     v = pair_verdicts(g, w)

@@ -79,8 +79,8 @@ def check(v, gammas):
 def fake_image(monkeypatch, g, counts):
     """Make every scan of g return the given fiber counts."""
     w = parse_word("x1", 1)
-    fake = (WordImage(g, w, 1, tuple(c > 0 for c in counts)),
-            FiberDistribution(g, w, 1, tuple(counts)))
+    fake = (WordImage(g, w, tuple(c > 0 for c in counts)),
+            FiberDistribution(g, w, tuple(counts)))
     monkeypatch.setattr(engine, "image", lambda *args, **kwargs: fake)
     return w
 

@@ -235,8 +235,14 @@ def test_every_call_form_shares_one_cache_entry(enumerate_maps):
     first = enumerate_maps(g)
     assert enumerate_maps(g, 64) is first
     assert enumerate_maps(g, cap=64) is first
+    # The cap only admits or refuses g: every cap that admits it shares
+    # g's entry, and a refusal comes before the lookup.
+    assert enumerate_maps(g, 100) is first
+    with pytest.raises(CapExceededError,
+                       match=r"\|G\| = 24 exceeds automorphism cap 23"):
+        enumerate_maps(g, 23)
     info = enumerate_maps.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
 
 def test_inner_automorphisms():

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every module it imports is its own or in the standard library.
+"""Every name a module of the package imports is used in that module,
+every module it imports is its own or in the standard library, and
+importing the package loads neither `dataclasses` nor `inspect`.
 
 A standard-library stand-in for a linter's unused-import rule. The package
 `__init__.py` is skipped by the unused-import check: its imports are the
@@ -7,6 +8,7 @@ public re-exports.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -97,3 +99,39 @@ def test_the_check_catches_a_non_stdlib_import():
                      "from . import words\nfrom .groups import GroupError\n"
                      "import numpy as np\nfrom hypothesis import given\n")
     assert non_stdlib_imports(tree) == {"numpy", "hypothesis"}
+
+
+# Costly at start-up and needed by no module of the package: `dataclasses`
+# imports `inspect`, which imports `ast`, `dis`, `tokenize` and `linecache`.
+SLOW_MODULES = {"dataclasses", "inspect"}
+
+
+def modules_added(code: str) -> set:
+    """The modules that `code` adds to a fresh interpreter started without
+    `site`, next to the same interpreter before it runs."""
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})",
+        "before = set(sys.modules)",
+        code,
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr)"])
+    run = subprocess.run([sys.executable, "-S", "-c", script],
+                         capture_output=True, text=True, check=True)
+    return set(run.stderr.split())
+
+
+@pytest.mark.parametrize("code", [
+    "import chiralwords.cli",
+    # `python -m chiralwords group list --max-order 1`
+    "sys.argv[1:] = ['group', 'list', '--max-order', '1']\n"
+    "try:\n    import chiralwords.__main__\nexcept SystemExit:\n    pass",
+], ids=["import", "python-m"])
+def test_start_up_loads_no_dataclasses_or_inspect(code):
+    added = modules_added(code)
+    assert "chiralwords.verify" in added  # every layer module was loaded
+    assert not added & SLOW_MODULES, \
+        f"start-up loads {sorted(added & SLOW_MODULES)}"
+
+
+def test_the_start_up_check_sees_a_dataclasses_import():
+    assert modules_added("import dataclasses") >= SLOW_MODULES

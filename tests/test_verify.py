@@ -1,10 +1,8 @@
-import dataclasses
-
 import pytest
 
 from chiralwords import catalog, reports, verify
 from chiralwords.catalog import catalog_specs
-from chiralwords.engine import DEFAULT_BUDGET, naive_image
+from chiralwords.engine import DEFAULT_BUDGET, FiberDistribution, naive_image
 from chiralwords.groups import build_family, parse_group_spec
 from chiralwords.verify import (
     Bounds,
@@ -296,7 +294,7 @@ def test_remark_fails_on_a_perturbed_direct_count(monkeypatch):
         img, fibers = original(g, w, **kwargs)
         counts = list(fibers.counts)
         counts[1] += 1
-        return img, dataclasses.replace(fibers, counts=tuple(counts))
+        return img, FiberDistribution(g, w, tuple(counts))
 
     monkeypatch.setattr(verify, "naive_image", perturbed)
     found = failures_named("remark", "twisted-fiber-identity")
@@ -320,7 +318,7 @@ def test_remark_fails_on_fibers_that_are_not_aut_invariant(monkeypatch):
         t = next(x for x in g.elements() if x and g.inverses[x] == x)
         counts = list(fibers.counts)
         counts[t] += 1
-        return img, dataclasses.replace(fibers, counts=tuple(counts))
+        return img, FiberDistribution(g, w, tuple(counts))
 
     monkeypatch.setattr(verify, "image", skewed)
     for record in failures_named("remark", "weak-verdict-gamma-independence"):
