@@ -23,8 +23,11 @@ from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 DEFAULT_ORDER_CAP = 512
 DEFAULT_AUTO_CAP = 64
-# Automorphisms an enumeration collects before CapExceededError: above the
+# The most automorphisms a group may have to be enumerated: above the
 # catalog's 192 and |Aut(C2^4)| = 20,160, far below |Aut(C2^5)| ~ 10^7.
+# It is checked against the stabiliser chain's product of orbit lengths, a
+# lower bound on |Aut(G)| while levels remain, so a group above it raises
+# CapExceededError before any automorphism is built.
 MAX_AUTOMORPHISMS = 2 ** 15
 # A group file may hold 16 bytes per entry of a table at the order cap
 # (4 MiB); larger files are refused before they are read.
@@ -847,10 +850,11 @@ def _extend_map(g: FiniteGroup, h: FiniteGroup, gens: Sequence[int],
     return mapping
 
 
-def _image_search(g: FiniteGroup,
-                  h: FiniteGroup) -> Iterator[Tuple[int, ...]]:
+def _image_search(g: FiniteGroup, h: FiniteGroup,
+                  prefix: Sequence[int] = ()) -> Iterator[Tuple[int, ...]]:
     """Backtrack over generator images drawn from the elements of h with
-    their profile; yields full bijective image arrays."""
+    their profile; yields full bijective image arrays. The first
+    len(prefix) generators have their images fixed by `prefix`."""
     gens = g.search_generators
     g_profiles, h_profiles = g.profiles, h.profiles
     candidates = [[c for c in h.elements() if h_profiles[c] == g_profiles[a]]
@@ -866,7 +870,7 @@ def _image_search(g: FiniteGroup,
         elif len(mapping) == g.order == h.order:
             yield tuple(mapping[x] for x in g.elements())
 
-    return rec(0, [])
+    return rec(len(prefix), list(prefix))
 
 
 def _cached_by_group(fn):
@@ -891,11 +895,54 @@ def _cached_by_group(fn):
 @_cached_by_group
 def enumerate_automorphisms(g: FiniteGroup) -> Tuple[GroupMap, ...]:
     """All automorphisms of g, in deterministic (image-array) order; called
-    as enumerate_automorphisms(g, cap), it refuses a g of order above cap."""
-    arrays = list(itertools.islice(_image_search(g, g), MAX_AUTOMORPHISMS + 1))
-    if len(arrays) > MAX_AUTOMORPHISMS:
-        raise CapExceededError(f"{g.name} has more than {MAX_AUTOMORPHISMS} "
-                               "automorphisms, the enumeration bound")
+    as enumerate_automorphisms(g, cap), it refuses a g of order above cap.
+
+    A stabiliser chain over the base b_0..b_{k-1} = g.search_generators:
+    S_i is the automorphisms fixing b_0..b_{i-1}, and S_k is trivial. From
+    i = k-1 down to 0, the orbit of b_i under the generators found at
+    levels >= i is grown with one transversal map per point. Each
+    same-profile candidate c outside the orbit gets one search for a map
+    fixing b_<i and sending b_i to c: a map found joins the generators and
+    the orbit grows again; none found means c is outside the orbit. So
+    |Aut(G)| is the product of the orbit lengths, checked against
+    MAX_AUTOMORPHISMS before any automorphism is built, and every
+    automorphism is one product u_0 u_1 ... u_{k-1} of transversal maps."""
+    base, profiles = g.search_generators, g.profiles
+    identity = tuple(g.elements())
+    strong: List[Tuple[int, ...]] = []
+    transversals: List[List[Tuple[int, ...]]] = []
+    size = 1
+
+    def grow(orbit: dict) -> None:
+        frontier = list(orbit)
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for s in strong:
+                    if s[p] not in orbit:
+                        orbit[s[p]] = tuple(map(s.__getitem__, orbit[p]))
+                        nxt.append(s[p])
+            frontier = nxt
+
+    for i in reversed(range(len(base))):
+        b = base[i]
+        orbit = {b: identity}
+        grow(orbit)
+        for c in g.elements():
+            if profiles[c] == profiles[b] and c not in orbit:
+                found = next(_image_search(g, g, base[:i] + (c,)), None)
+                if found is not None:
+                    strong.append(found)
+                    grow(orbit)
+        size *= len(orbit)
+        if size > MAX_AUTOMORPHISMS:
+            raise CapExceededError(f"{g.name} has more than "
+                                   f"{MAX_AUTOMORPHISMS} automorphisms, "
+                                   "the enumeration bound")
+        transversals.append(list(orbit.values()))
+    arrays = [identity]
+    for maps in transversals:  # S_i = u_i S_{i+1}, from S_k = 1 up to S_0
+        arrays = [tuple(map(u.__getitem__, a)) for u in maps for a in arrays]
     return tuple(GroupMap(g, arr, AUTOMORPHISM) for arr in sorted(arrays))
 
 

@@ -18,6 +18,7 @@ from chiralwords.catalog import catalog_specs
 from chiralwords.groups import (
     ANTI_AUTOMORPHISM,
     AUTOMORPHISM,
+    CapExceededError,
     FiniteGroup,
     GroupError,
     GroupMap,
@@ -112,6 +113,51 @@ def test_search_matches_the_reference(spec):
     h = relabelled(g, seed=len(spec))
     assert (sorted(groups._image_search(g, h))
             == reference_isomorphisms(g, h))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_chain_on_a_relabelled_copy_matches_the_reference(spec):
+    # Another element order moves the base and the candidate order, so the
+    # orbits are grown and searched from other points.
+    h = relabelled(parse_group_spec(spec), seed=len(spec) + 100)
+    assert ([zeta.images for zeta in enumerate_automorphisms(h)]
+            == reference_isomorphisms(h, h))
+
+
+@pytest.mark.parametrize("spec", ["A5", "Q8xC2"])
+def test_the_chain_searches_once_per_orbit_point(spec, monkeypatch):
+    # The full backtrack over generator images grows 385 partial maps on
+    # A5 and 337 on Q8xC2; the chain grows 13 and 24.
+    calls = []
+    extend_map = groups._extend_map
+    monkeypatch.setattr(groups, "_extend_map",
+                        lambda *args: calls.append(1) or extend_map(*args))
+    enumerate_automorphisms.cache_clear()
+    enumerate_automorphisms(parse_group_spec(spec))
+    assert 0 < len(calls) <= 60
+
+
+def test_the_enumeration_bound_applies_before_any_map_is_built(monkeypatch):
+    # Only the chain's generators are grown to full maps (6 on Q8xC2); a
+    # search that counts automorphisms one by one grows 101 to refuse.
+    checks, full_maps = [], []
+    check, extend_map = GroupMap.__post_init__, groups._extend_map
+
+    def counted_extend_map(g, h, gens, images):
+        mapping = extend_map(g, h, gens, images)
+        full_maps.append(mapping is not None and len(mapping) == g.order)
+        return mapping
+
+    monkeypatch.setattr(groups, "MAX_AUTOMORPHISMS", 100)
+    monkeypatch.setattr(groups, "_extend_map", counted_extend_map)
+    monkeypatch.setattr(GroupMap, "__post_init__",
+                        lambda m: checks.append(1) or check(m))
+    enumerate_automorphisms.cache_clear()
+    with pytest.raises(CapExceededError, match="Q8xC2 has more than 100 "
+                       "automorphisms, the enumeration bound"):
+        enumerate_automorphisms(parse_group_spec("Q8xC2"))  # 192 of them
+    assert checks == []
+    assert sum(full_maps) < 10
 
 
 @pytest.mark.parametrize("spec, count", [
