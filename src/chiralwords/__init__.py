@@ -6,7 +6,6 @@ from .engine import (
     FiberDistribution,
     WordImage,
     evaluate,
-    evaluate_twisted,
     image,
     invert_set,
     is_chiral_pair,
@@ -20,14 +19,12 @@ from .groups import (
     GroupError,
     GroupMap,
     anti_from_auto,
-    auto_from_anti,
     build_family,
     direct_product,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
     from_cayley_document,
     from_permutation_generators,
-    inner_automorphism,
     is_isomorphic,
     parse_group_spec,
     validate_group,
@@ -40,12 +37,10 @@ from .words import (
     apply_anti,
     canonical_form,
     compose,
-    concat,
     enumerate_words,
     identity_endo,
     identity_word,
     invert,
-    inversion_anti,
     nielsen_generators,
     parse_word,
     random_automorphism,

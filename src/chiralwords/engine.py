@@ -6,18 +6,21 @@ closed form from one power table, with no scan. On a direct product A x B
 built by `groups.direct_product` they are the outer product of the
 factors' counts, so only A^d and B^d are scanned, never (A x B)^d.
 Elsewhere they come from one tuple per coset of A^k for an abelian normal
-subgroup A (`_normal_scan`: dihedral groups, Q8), or, where a cost
-estimate says that is dearer, from one first coordinate per conjugacy
-class, weighted by the class size, since fiber counts are class functions
-(`_class_scan`). Both skip coordinates the word does not read and evaluate
-blocks of tuples at once. The tables these paths read are kept on the
-group (`FiniteGroup`). `naive_image` is the independent reference path.
+subgroup A (`_normal_scan`: dihedral groups, Q8). Where a cost estimate
+says that is dearer, a word w = A x_i^e B reading k >= 3 coordinates, x_i
+in one syllable only, convolves the counts of AB, over k - 1 coordinates,
+with the counts of e-th roots (`_eliminate`); the rest come from one first
+coordinate per conjugacy class, weighted by the class size, since fiber
+counts are class functions (`_class_scan`). Both scans skip coordinates
+the word does not read and evaluate blocks of tuples at once, from tables
+kept on the group (`FiniteGroup`). `naive_image` is the independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from itertools import compress, product
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -29,7 +32,8 @@ from .groups import (
     GroupMap,
     _closure,
 )
-from .words import FreeAntiAuto, Word, apply_anti, render_word
+from .words import (FreeAntiAuto, Word, apply_anti, reduce_syllables,
+                    render_word)
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -101,13 +105,6 @@ def evaluate(g: FiniteGroup, w: Word, tup: Sequence[int]) -> int:
     return acc
 
 
-def evaluate_twisted(g: FiniteGroup, w: Word, gamma: GroupMap,
-                     tup: Sequence[int]) -> int:
-    """Evaluate the twisted map w_gamma = gamma(w(...))."""
-    _check_antis(g, [gamma])
-    return gamma.images[evaluate(g, w, tup)]
-
-
 def _check_budget(g: FiniteGroup, arity: int, budget: int) -> int:
     # |G|^arity >= 2^arity > budget here: refuse before building a number
     # that could take seconds to compute and too many digits to print.
@@ -147,8 +144,9 @@ def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
     """Exact fiber counts of w over G^arity, arity = w.rank: in closed form
     on abelian groups and for words reading one coordinate, as an outer
     product on direct products, and on the rest from a scan over an
-    abelian normal subgroup (`_normal_scan`) or a class-weighted scan
-    (`_class_scan`), whichever `normal_wins` picks.
+    abelian normal subgroup (`_normal_scan`) where `normal_wins` picks it,
+    else from the word with a generator removed (`_eliminate`) or a
+    class-weighted scan (`_class_scan`).
 
     On an abelian group (every conjugacy class a singleton) w(t) is
     prod t_i^{e_i}, where e_i is the exponent sum of x_i, so w is a
@@ -173,6 +171,14 @@ def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
     The budget is checked on G itself, so a product is refused exactly
     when its scan would be, and it is checked before either scan runs.
     A coordinate the word does not read multiplies every count by |G|.
+
+    Elsewhere, if w reads k >= 3 coordinates, one of them, x_i, in one
+    syllable only, then w = A x_i^e B with A, B free of x_i. With the other
+    coordinates fixed, A y^e B = x has R_e(A^-1 x B^-1) = R_e(x (AB)^-1)
+    solutions y (conjugate by A), for R_e(z) = #{y : y^e = z}, a class
+    function read off `power_table(e)`. So N_w(x) = sum_z N_AB(z) R_e(x z^-1)
+    / |G|, N_AB counted over G^arity (x_i unread) by this same function,
+    once per class of x and over the support of N_AB.
     """
     arity = w.rank
     _check_budget(g, arity, budget)
@@ -195,11 +201,40 @@ def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
         return [x * y for x in _fiber_counts(a, w, budget)
                 for y in counts_b]
     k = len(read)
-    scan = _normal_scan if normal_wins(g, k) else _class_scan
-    counts = scan(g, w, read)
+    if normal_wins(g, k):
+        counts = _normal_scan(g, w, read)
+    elif k >= 3 and (counts := _eliminate(g, w, budget)) is not None:
+        return counts
+    else:
+        counts = _class_scan(g, w, read)
     if arity > k:
         scale = n ** (arity - k)
         counts = [c * scale for c in counts]
+    return counts
+
+
+def _eliminate(g: FiniteGroup, w: Word, budget: int) -> Optional[List[int]]:
+    """The counts of w = A x_i^e B, x_i in one syllable only, from those of
+    AB (see `_fiber_counts`); None if every generator repeats."""
+    sylls, n = w.syllables, g.order
+    uses = Counter(gen for gen, _ in sylls)
+    j = next((j for j, (gen, _) in enumerate(sylls) if uses[gen] == 1), None)
+    if j is None:
+        return None
+    rest = _fiber_counts(
+        g, reduce_syllables(sylls[:j] + sylls[j + 1:], w.rank), budget)
+    roots = [0] * n  # R_e
+    for y in g.power_table(sylls[j][1]):
+        roots[y] += 1
+    weights = list(compress(rest, rest))  # N_AB(z), z in its support
+    inverses = list(compress(g.inverses, rest))  # those z^-1
+    counts = [0] * n
+    for cls in g.conjugacy_classes:
+        row = g.table[cls[0]]  # x z^-1 = row[z^-1]
+        value = sum(map(int.__mul__, weights, map(
+            roots.__getitem__, map(row.__getitem__, inverses)))) // n
+        for x in cls:
+            counts[x] = value
     return counts
 
 

@@ -17,7 +17,6 @@ import math
 import operator
 import os
 import re
-from pathlib import Path
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -422,11 +421,6 @@ def quaternion_group() -> FiniteGroup:
     return _build_group("Q8", table, labels)
 
 
-def _perm_compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
-    """(p . q)(x) = p[q[x]]."""
-    return tuple(p[q[x]] for x in range(len(q)))
-
-
 def _cycles(p: Tuple[int, ...]) -> List[List[int]]:
     """The cycles of p, fixed points included, each from its least point."""
     seen, cycles = [False] * len(p), []
@@ -447,8 +441,9 @@ def _cycle_label(p: Tuple[int, ...]) -> str:
 
 
 def _group_from_perms(name: str, perms: List[Tuple[int, ...]]) -> FiniteGroup:
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[_perm_compose(p, q)] for q in perms] for p in perms]
+    index = {p: i for i, p in enumerate(perms)}  # (p . q)(x) = p[q[x]]
+    table = [[index[tuple(map(p.__getitem__, q))] for q in perms]
+             for p in perms]
     return _build_group(name, table, [_cycle_label(p) for p in perms])
 
 
@@ -572,21 +567,17 @@ def from_permutation_generators(perms: Sequence[Sequence[int]],
     m = len(gens[0]) if gens else 1
     if any(len(p) != m for p in gens):
         raise GroupError("generators act on different sets")
-    ident = tuple(range(m))
-    elements = [ident]
-    index = {ident: 0}
-    queue = [ident]
-    while queue:
-        x = queue.pop(0)
+    elements = [tuple(range(m))]
+    seen = set(elements)
+    for x in elements:  # grows as it is read: a breadth-first walk
         for gen in gens:
-            y = _perm_compose(x, gen)
-            if y not in index:
+            y = tuple(map(x.__getitem__, gen))  # x . gen
+            if y not in seen:
                 if len(elements) >= DEFAULT_ORDER_CAP:
                     raise CapExceededError(
                         f"closure exceeds order cap {DEFAULT_ORDER_CAP}")
-                index[y] = len(elements)
+                seen.add(y)
                 elements.append(y)
-                queue.append(y)
     return _group_from_perms(name, elements)
 
 
@@ -595,30 +586,37 @@ def from_permutation_generators(perms: Sequence[Sequence[int]],
 _file_groups: Dict[Tuple[bytes, str], FiniteGroup] = {}
 
 
-def load_group_file(path: str | Path) -> FiniteGroup:
+def load_group_file(path: str | os.PathLike) -> FiniteGroup:
     """Load a group from a JSON document: Cayley table or `perm-gens`.
 
     The file is read on every call, so edits are seen, but each distinct
     content is parsed and validated once per process: the last
     FILE_CACHE_SIZE groups are kept by the sha256 of the file's bytes.
+    The path is shown, and its stem taken, as `pathlib.PurePosixPath` does.
     """
-    path = Path(path)
+    path = os.fspath(path)
+    lead = len(path) - len(path.lstrip("/"))
+    path = "/" * (2 if lead == 2 else min(lead, 1)) + "/".join(
+        p for p in path.split("/") if p not in ("", ".")) or "."
     data = _read_group_file(path)
-    key = (hashlib.sha256(data).digest(), path.stem)
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name
+    key = (hashlib.sha256(data).digest(), stem)
     group = _file_groups.pop(key, None)
     if group is None:
-        group = _group_from_file_bytes(data, path)
+        group = _group_from_file_bytes(data, path, stem)
         if len(_file_groups) >= FILE_CACHE_SIZE:
             del _file_groups[next(iter(_file_groups))]
     _file_groups[key] = group
     return group
 
 
-def _read_group_file(path: Path) -> bytes:
+def _read_group_file(path: str) -> bytes:
     """The file's bytes; a file larger than MAX_GROUP_FILE_BYTES is refused
     before it is read."""
     try:
-        with path.open("rb") as fh:
+        with open(path, "rb") as fh:
             if os.fstat(fh.fileno()).st_size <= MAX_GROUP_FILE_BYTES:
                 data = fh.read(MAX_GROUP_FILE_BYTES + 1)
                 if len(data) <= MAX_GROUP_FILE_BYTES:
@@ -630,7 +628,7 @@ def _read_group_file(path: Path) -> bytes:
         f"(16 bytes per table entry at order cap {DEFAULT_ORDER_CAP})")
 
 
-def _group_from_file_bytes(data: bytes, path: Path) -> FiniteGroup:
+def _group_from_file_bytes(data: bytes, path: str, stem: str) -> FiniteGroup:
     try:
         doc = json.loads(data)
     except (ValueError, RecursionError) as exc:
@@ -648,7 +646,7 @@ def _group_from_file_bytes(data: bytes, path: Path) -> FiniteGroup:
             raise GroupError(f"malformed group file {path}: perm-gens is "
                              "not a list of integer lists")
         return from_permutation_generators(
-            gens, name=str(doc.get("name", path.stem)))
+            gens, name=str(doc.get("name", stem)))
     return from_cayley_document(doc)
 
 
@@ -765,13 +763,6 @@ def inversion_map(g: FiniteGroup) -> GroupMap:
     return GroupMap._derived(g, g.inverses, ANTI_AUTOMORPHISM)
 
 
-def inner_automorphism(g: FiniteGroup, a: int) -> GroupMap:
-    """Conjugation x -> a*x*a^-1."""
-    ai = g.inv(a)
-    images = tuple(g.mul(g.mul(a, x), ai) for x in g.elements())
-    return GroupMap(g, images, AUTOMORPHISM)
-
-
 def _after_inversion(m: GroupMap, kind: str, result_kind: str) -> GroupMap:
     """x -> m(x^-1) for m of `kind`; inversion swaps the two kinds."""
     if m.kind != kind:
@@ -783,11 +774,6 @@ def _after_inversion(m: GroupMap, kind: str, result_kind: str) -> GroupMap:
 def anti_from_auto(zeta: GroupMap) -> GroupMap:
     """The anti-automorphism x -> zeta(x^-1)."""
     return _after_inversion(zeta, AUTOMORPHISM, ANTI_AUTOMORPHISM)
-
-
-def auto_from_anti(gamma: GroupMap) -> GroupMap:
-    """The automorphism x -> gamma(x^-1); inverse of anti_from_auto."""
-    return _after_inversion(gamma, ANTI_AUTOMORPHISM, AUTOMORPHISM)
 
 
 def _greedy_generators(table: Sequence[Sequence[int]],

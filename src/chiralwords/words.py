@@ -177,12 +177,6 @@ def invert(w: Word) -> Word:
     return Word(w.rank, tuple((g, -e) for g, e in reversed(w.syllables)))
 
 
-def concat(a: Word, b: Word) -> Word:
-    if a.rank != b.rank:
-        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
-    return reduce_syllables(a.syllables + b.syllables, a.rank)
-
-
 class FreeGroupEndo:
     """Endomorphism of F_rank by generator images.
 
@@ -245,10 +239,6 @@ def compose(e1: FreeGroupEndo, e2: FreeGroupEndo) -> FreeGroupEndo:
     return FreeGroupEndo(e1.rank, images, inv_images)
 
 
-def _word(rank: int, *sylls: Syllable) -> Word:
-    return Word(rank, sylls)
-
-
 def nielsen_generators(rank: int) -> list[FreeGroupEndo]:
     """The standard Nielsen generating set of Aut(F_rank).
 
@@ -264,15 +254,13 @@ def nielsen_generators(rank: int) -> list[FreeGroupEndo]:
         images[i - 1], images[i] = images[i], images[i - 1]
         swapped = tuple(images)
         gens.append(FreeGroupEndo(rank, swapped, swapped))
-    images = list(base.images)
-    images[0] = _word(rank, (1, -1))
-    inverted = tuple(images)
+    inverted = (Word(rank, ((1, -1),)),) + base.images[1:]
     gens.append(FreeGroupEndo(rank, inverted, inverted))
     if rank >= 2:
         fwd = list(base.images)
-        fwd[0] = _word(rank, (1, 1), (2, 1))
+        fwd[0] = Word(rank, ((1, 1), (2, 1)))
         bwd = list(base.images)
-        bwd[0] = _word(rank, (1, 1), (2, -1))
+        bwd[0] = Word(rank, ((1, 1), (2, -1)))
         gens.append(FreeGroupEndo(rank, tuple(fwd), tuple(bwd)))
     return gens
 
@@ -300,11 +288,6 @@ class FreeAntiAuto:
     @property
     def rank(self) -> int:
         return self.theta.rank
-
-
-def inversion_anti(rank: int) -> FreeAntiAuto:
-    """The anti-automorphism w -> w^-1."""
-    return FreeAntiAuto(identity_endo(rank))
 
 
 def apply_anti(w: Word, gamma: FreeAntiAuto) -> Word:

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from chiralwords.groups import from_cayley_document
+from chiralwords.groups import (
+    ANTI_AUTOMORPHISM,
+    AUTOMORPHISM,
+    GroupMap,
+    _after_inversion,
+    from_cayley_document,
+)
 from chiralwords.words import Word, reduce_syllables
 
 
@@ -15,6 +21,18 @@ def random_reduced_word(rng: random.Random, rank: int, max_len: int) -> Word:
     while w.length > max_len:
         w = reduce_syllables(w.syllables[:-1], rank)
     return w
+
+
+def concat(a: Word, b: Word) -> Word:
+    """The reduced product ab of two words of one rank."""
+    if a.rank != b.rank:
+        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
+    return reduce_syllables(a.syllables + b.syllables, a.rank)
+
+
+def auto_from_anti(gamma: GroupMap) -> GroupMap:
+    """The automorphism x -> gamma(x^-1); inverse of `anti_from_auto`."""
+    return _after_inversion(gamma, ANTI_AUTOMORPHISM, AUTOMORPHISM)
 
 
 def brute_force_reduced_words(rank: int, max_len: int) -> set:

@@ -18,7 +18,6 @@ from chiralwords.engine import (
 from chiralwords.groups import (
     FiniteGroup,
     anti_from_auto,
-    auto_from_anti,
     build_family,
     enumerate_automorphisms,
     identity_map,
@@ -36,7 +35,6 @@ from chiralwords.verify import (
 from chiralwords.words import (
     FreeAntiAuto,
     apply_anti,
-    concat,
     enumerate_words,
     invert,
     parse_word,
@@ -46,7 +44,9 @@ from chiralwords.words import (
 )
 
 from conftest import (
+    auto_from_anti,
     brute_force_reduced_words,
+    concat,
     metacyclic_c7_c9,
     random_reduced_word,
 )

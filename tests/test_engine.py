@@ -6,8 +6,8 @@ import pytest
 
 from chiralwords.engine import (
     BudgetExceededError,
+    _check_antis,
     evaluate,
-    evaluate_twisted,
     image,
     invert_set,
     is_chiral_pair,
@@ -84,6 +84,12 @@ def test_evaluate_arity_too_small():
 
 
 # --- evaluate_twisted -------------------------------------------------------------
+
+def evaluate_twisted(g, w, gamma, tup):
+    """The twisted map w_gamma = gamma(w(...)), evaluated at one tuple."""
+    _check_antis(g, [gamma])
+    return gamma.images[evaluate(g, w, tup)]
+
 
 def test_twisted_inversion():
     g = build_family("S3")

@@ -20,7 +20,6 @@ from chiralwords.groups import (
     GroupSpecError,
     _greedy_generators,
     anti_from_auto,
-    auto_from_anti,
     build_family,
     direct_product,
     enumerate_anti_automorphisms,
@@ -29,11 +28,20 @@ from chiralwords.groups import (
     from_cayley_document,
     from_permutation_generators,
     identity_map,
-    inner_automorphism,
     is_isomorphic,
     parse_group_spec,
     validate_group,
 )
+
+from conftest import auto_from_anti
+
+
+def inner_automorphism(g: FiniteGroup, a: int) -> GroupMap:
+    """Conjugation x -> a*x*a^-1."""
+    ai = g.inv(a)
+    images = tuple(g.mul(g.mul(a, x), ai) for x in g.elements())
+    return GroupMap(g, images, AUTOMORPHISM)
+
 
 # Smallest non-associative loop: Latin square with identity and two-sided
 # inverses but (1*1)*2 != 1*(1*2).
@@ -344,6 +352,25 @@ def test_parse_group_spec_file(tmp_path):
     perm_path = tmp_path / "s3.json"
     perm_path.write_text('{"perm-gens": [[1,0,2],[0,2,1]]}')
     assert parse_group_spec(f"@{perm_path}").order == 6
+
+
+@pytest.mark.parametrize("rel", ["odd.", ".hidden", "a.b.c", "s3.json",
+                                 "./s3.json", "sub//s3.json", "s3.json/"])
+def test_file_paths_read_as_pathlib_reads_them(tmp_path, rel):
+    """A `perm-gens` group is named by the path's stem, and errors show the
+    path, both as `pathlib.Path` gives them; the package does not import
+    pathlib, which is slow to import."""
+    (tmp_path / "sub").mkdir()
+    for name in ("odd.", ".hidden", "a.b.c", "s3.json", "sub/s3.json"):
+        (tmp_path / name).write_text('{"perm-gens": [[1,0,2],[0,2,1]]}')
+    spelled = f"{tmp_path}/{rel}"
+    assert parse_group_spec(f"@{spelled}").name == Path(spelled).stem
+    missing = f"/{tmp_path}//./{rel}.missing"
+    with pytest.raises(GroupError) as exc:
+        parse_group_spec(f"@{missing}")
+    assert str(exc.value).startswith(
+        f"cannot read group file {Path(missing)}: ")
+    assert str(exc.value).endswith(f"{str(Path(missing))!r}")
 
 
 def test_built_in_specs_are_memoized_and_files_reread(tmp_path):

@@ -102,8 +102,9 @@ def test_the_check_catches_a_non_stdlib_import():
 
 
 # Costly at start-up and needed by no module of the package: `dataclasses`
-# imports `inspect`, which imports `ast`, `dis`, `tokenize` and `linecache`.
-SLOW_MODULES = {"dataclasses", "inspect"}
+# imports `inspect`, which imports `ast`, `dis`, `tokenize` and `linecache`;
+# `pathlib` imports `fnmatch`, `ntpath` and `urllib.parse`.
+SLOW_MODULES = {"dataclasses", "inspect", "pathlib"}
 
 
 def modules_added(code: str) -> set:
@@ -134,4 +135,4 @@ def test_start_up_loads_no_dataclasses_or_inspect(code):
 
 
 def test_the_start_up_check_sees_a_dataclasses_import():
-    assert modules_added("import dataclasses") >= SLOW_MODULES
+    assert modules_added("import dataclasses, pathlib") >= SLOW_MODULES

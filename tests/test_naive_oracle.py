@@ -24,7 +24,7 @@ from chiralwords.words import canonical_words, parse_word
 FAST_PATH_NAMES = {
     "conjugacy_classes", "class_size", "abelian_normal", "factors",
     "is_abelian", "_fiber_counts", "_normal_scan", "_class_scan",
-    "normal_wins", "image",
+    "_eliminate", "normal_wins", "image",
 }
 
 

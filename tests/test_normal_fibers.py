@@ -137,15 +137,17 @@ def test_the_subgroup_is_abelian_normal_and_its_cosets_tile_g(spec, g):
 
 
 def test_routing(monkeypatch):
-    taken = []
+    taken, widths = [], []  # (group, scan) and len(read) of each scan
     for name in ("_normal_scan", "_class_scan"):
-        def spy(g, *args, scan=getattr(engine, name), name=name):
+        def spy(g, w, read, scan=getattr(engine, name), name=name):
             taken.append((g.name, name))
-            return scan(g, *args)
+            widths.append(len(read))
+            return scan(g, w, read)
         monkeypatch.setattr(engine, name, spy)
 
     def path(g, rank):
         taken.clear()
+        widths.clear()
         image(g, parse_word({2: "x1^2 x2 x1^-1 x2^3",
                              3: "x1^2 x2 x1^-1 x3^2"}[rank], rank))
         [(group, name)] = taken
@@ -160,7 +162,18 @@ def test_routing(monkeypatch):
     for spec in ("S4", "A5", "A4"):
         assert path(parse_group_spec(spec), 2) == "_class_scan", spec
     assert path(parse_group_spec("A4"), 3) == "_normal_scan"
+    assert widths == [3]
     assert path(parse_group_spec("S4"), 3) == "_class_scan"
+    # x2 and x3 occur once at rank 3: x2 is removed, and "x1 x3^2" is
+    # scanned over 2 coordinates. A word whose generators all repeat keeps
+    # the 3-coordinate class scan.
+    for spec in ("S4", "A5"):
+        g = parse_group_spec(spec)
+        assert path(g, 3) == "_class_scan" and widths == [2], spec
+        taken.clear()
+        widths.clear()
+        image(g, parse_word("x1 x2 x3 x1^-1 x2^-1 x3^-1", 3))
+        assert taken == [(g.name, "_class_scan")] and widths == [3], spec
 
 
 CHIRAL = "x1^-12 x2 x1^3 x2^2"

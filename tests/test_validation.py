@@ -18,7 +18,6 @@ from chiralwords.groups import (
     GroupError,
     GroupMap,
     anti_from_auto,
-    auto_from_anti,
     build_family,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
@@ -27,6 +26,8 @@ from chiralwords.groups import (
     parse_group_spec,
 )
 from chiralwords.search import replay, search_chiral
+
+from conftest import auto_from_anti
 
 
 def checked(m: GroupMap) -> GroupMap:

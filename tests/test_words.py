@@ -11,11 +11,9 @@ from chiralwords.words import (
     apply_anti,
     canonical_form,
     compose,
-    concat,
     enumerate_words,
     identity_endo,
     identity_word,
-    inversion_anti,
     invert,
     nielsen_generators,
     parse_word,
@@ -25,7 +23,12 @@ from chiralwords.words import (
     substitute,
 )
 
-from conftest import brute_force_reduced_words, random_reduced_word
+from conftest import brute_force_reduced_words, concat, random_reduced_word
+
+
+def inversion_anti(rank: int) -> FreeAntiAuto:
+    """The anti-automorphism w -> w^-1."""
+    return FreeAntiAuto(identity_endo(rank))
 
 
 def syllable_lists(rank=3):
