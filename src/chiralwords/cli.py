@@ -31,7 +31,8 @@ from .groups import (
     inversion_map,
     parse_group_spec,
 )
-from .search import MalformedRecordError, replay, search_chiral
+from .search import (MAX_RECORD_BYTES, MalformedRecordError, replay,
+                     search_chiral)
 from .verify import Bounds, run_all, run_suite, summarize
 from .words import Word, WordSyntaxError, parse_word, render_word
 
@@ -163,7 +164,7 @@ def cmd_chiral(args) -> int:
     gammas = _select_gammas(g, args.gamma, args.auto_cap)
     report = is_chiral_pair(g, w, budget=args.budget, gammas=gammas)
     verdict = "chiral" if report.chiral else "not chiral"
-    lines = [f"{g.name}, w = {report.word_text}: {verdict}"]
+    lines = [f"{g.name}, w = {render_word(w)}: {verdict}"]
     if report.chiral_witness is not None:
         x = report.chiral_witness
         lines.append(f"witness: {g.labels[x]} in G_w, "
@@ -179,7 +180,7 @@ def cmd_weak_chiral(args) -> int:
     gammas = _select_gammas(g, args.gamma, args.auto_cap)
     report = is_weakly_chiral_pair(g, w, gammas, budget=args.budget)
     verdict = "weakly chiral" if report.weakly_chiral else "not weakly chiral"
-    lines = [f"{g.name}, w = {report.word_text}: {verdict}",
+    lines = [f"{g.name}, w = {render_word(w)}: {verdict}",
              f"all gammas agree: {report.all_gammas_agree}"]
     if report.weak_witness is not None:
         lines.insert(1, f"witness element: {g.labels[report.weak_witness]}")
@@ -235,14 +236,21 @@ def cmd_search(args) -> int:
 
 def cmd_replay(args) -> int:
     failures = 0
-    with open(args.infile) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+    with open(args.infile, "rb") as fh:
+        # A line is read through at most MAX_RECORD_BYTES bytes and its
+        # newline, so a longer one is refused before it is held whole.
+        for lineno, line in enumerate(
+                iter(lambda: fh.readline(MAX_RECORD_BYTES + 1), b""), 1):
+            if len(line) > MAX_RECORD_BYTES and not line.endswith(b"\n"):
+                raise MalformedRecordError(
+                    f"line {lineno}: longer than {MAX_RECORD_BYTES} bytes")
+            if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-            except ValueError as exc:  # also an integer of too many digits
+            # ValueError: also bad UTF-8 and an integer of too many digits;
+            # RecursionError: arrays or objects nested too deep.
+            except (ValueError, RecursionError) as exc:
                 raise MalformedRecordError(
                     f"line {lineno}: invalid JSON: {exc}") from None
             ok, mismatches = replay(record, auto_cap=args.auto_cap,

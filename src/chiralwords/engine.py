@@ -1,9 +1,9 @@
 """Word-map evaluation over G^d: images, fibers, and chirality verdicts.
 
 On abelian groups the word map is a homomorphism, and on any group a word
-reading one coordinate is a power map, so their fiber counts come in
-closed form from one power table, with no scan. On a direct product A x B
-built by `groups.direct_product` they are the outer product of the
+reading at most one coordinate is a power map, so their fiber counts come
+in closed form from one power table, with no scan. On a direct product
+A x B built by `groups.direct_product` they are the outer product of the
 factors' counts, so only A^d and B^d are scanned, never (A x B)^d.
 Elsewhere they come from one tuple per coset of A^k for an abelian normal
 subgroup A (`_normal_scan`: dihedral groups, Q8). Where a cost estimate
@@ -12,8 +12,9 @@ in one syllable only, convolves the counts of AB, over k - 1 coordinates,
 with the counts of e-th roots (`_eliminate`); the rest come from one first
 coordinate per conjugacy class, weighted by the class size, since fiber
 counts are class functions (`_class_scan`). Both scans skip coordinates
-the word does not read and evaluate blocks of tuples at once, from tables
-kept on the group (`FiniteGroup`). `naive_image` is the independent oracle.
+the word does not read and evaluate many tuples per list comprehension,
+from tables kept on the group (`FiniteGroup`). `naive_image` is the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ class FiberDistribution:
         return (self.group == other.group and self.word == other.word
                 and self.counts == other.counts)
 
-    @property
-    def arity(self) -> int:
-        return self.word.rank
-
 
 def evaluate(g: FiniteGroup, w: Word, tup: Sequence[int]) -> int:
     """Evaluate w at a tuple of element indices; w may use x_1..x_len(tup)."""
@@ -120,8 +117,6 @@ def _check_budget(g: FiniteGroup, arity: int, budget: int) -> int:
     return total
 
 
-# The most tuples of the trailing coordinates that one scan step covers.
-SCAN_BLOCK = 256
 # How many class-scan steps one word evaluation of `_normal_scan` costs.
 NORMAL_COST = 1.25
 # The most generator sets whose subgroup of A one group keeps.
@@ -142,8 +137,8 @@ def normal_wins(g: FiniteGroup, k: int) -> bool:
 
 def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
     """Exact fiber counts of w over G^arity, arity = w.rank: in closed form
-    on abelian groups and for words reading one coordinate, as an outer
-    product on direct products, and on the rest from a scan over an
+    on abelian groups and for words reading at most one coordinate, as an
+    outer product on direct products, and on the rest from a scan over an
     abelian normal subgroup (`_normal_scan`) where `normal_wins` picks it,
     else from the word with a generator removed (`_eliminate`) or a
     class-weighted scan (`_class_scan`).
@@ -159,7 +154,9 @@ def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
     `power_table(m)` and scaling by |G|^(arity-1) gives those counts
     without a scan. On any group a word reading only x_i is x_i^e, e its
     exponent sum, with counts #{a : a^e = x} |G|^(arity-1); a -> a^-1 maps
-    {a : a^-e = x} onto {a : a^e = x}, so they depend on |e| = m only.
+    {a : a^-e = x} onto {a : a^e = x}, so they depend on |e| = m only. The
+    identity word, reading no coordinate, is the case m = 0 (`math.gcd()`
+    is 0): a -> a^0 sends all n elements to e, giving n^arity at e.
 
     On a nonabelian G = A x B built by `direct_product` (`g.factors`),
     (A x B)^arity = A^arity x B^arity and w is evaluated componentwise, so
@@ -184,9 +181,7 @@ def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
     _check_budget(g, arity, budget)
     n = g.order
     read = sorted({gen for gen, _ in w.syllables})
-    if not read:  # the identity word: every tuple maps to the identity
-        return [n ** arity] + [0] * (n - 1)
-    if g.is_abelian or len(read) == 1:  # a homomorphism or a power map
+    if g.is_abelian or len(read) <= 1:  # a homomorphism or a power map
         counts = [0] * n
         sums = dict.fromkeys(read, 0)
         for gen, exp in w.syllables:
@@ -301,42 +296,28 @@ def _class_scan(g: FiniteGroup, w: Word, read: List[int]) -> List[int]:
     one representative r per conjugacy class, weighted by |class(r)|, and
     each class's weighted total is then shared equally among its members.
 
-    The trailing coordinates, as many as fit in SCAN_BLOCK tuples (the
-    first coordinate stays outside), are covered at once: one list
-    comprehension per syllable over the whole block. The
-    coordinates before them run as an odometer, and the syllables before
-    the first one that reads the block give a prefix that is constant
-    across it.
+    The last coordinate runs as a vector of all |G| values, one list
+    comprehension per syllable, as in `naive_image`. The coordinates
+    before it run as an odometer, and the syllables before the first one
+    that reads the last coordinate give a prefix that is constant across
+    the vector.
     """
-    n, table = g.order, g.table
+    n, table, cols = g.order, g.table, g.columns
     counts = [0] * n
-    k = len(read)
-    inner = k - 1  # the block is coordinates inner..k-1
-    while inner > 1 and n ** (k - inner + 1) <= SCAN_BLOCK:
-        inner -= 1
-    block = list(product(range(n), repeat=k - inner))
+    last = len(read) - 1
     slot = {gen: i for i, gen in enumerate(read)}
-    # Per-syllable powers: indexed by element outside the block and by
-    # block tuple inside it.
-    sylls = []
-    for gen, exp in w.syllables:
-        c = slot[gen]
-        pows = g.power_table(exp)
-        if c >= inner:
-            pows = [pows[t[c - inner]] for t in block]
-        sylls.append((c, pows))
-    s = next(j for j, (c, _) in enumerate(sylls) if c >= inner)
+    sylls = [(slot[gen], g.power_table(exp)) for gen, exp in w.syllables]
+    s = next(j for j, (c, _) in enumerate(sylls) if c == last)
     head, first_pows, tail = sylls[:s], sylls[s][1], sylls[s + 1:]
-    cols = g.columns
     class_size = g.class_size
-    for tup in product(class_size, *[range(n)] * (inner - 1)):
+    for tup in product(class_size, *[range(n)] * (last - 1)):
         p = 0
         for c, pows in head:
             p = table[p][pows[tup[c]]]
         row = table[p]
         vec = [row[x] for x in first_pows]
         for c, pows in tail:
-            if c >= inner:
+            if c == last:
                 vec = [table[v][x] for v, x in zip(vec, pows)]
             else:
                 col = cols[pows[tup[c]]]
@@ -410,23 +391,20 @@ def map_set(m: GroupMap, members: Sequence[bool]) -> Tuple[bool, ...]:
 
 
 class ChiralityReport:
-    """Verdicts with witnesses for one (group, word) chirality check."""
+    """Verdicts with witnesses for one (group, word) chirality check. The
+    group, word, arity and members are read off the scanned `image`;
+    `evaluations` counts the tuples of every scan the verdicts took."""
 
-    def __init__(self, group_name: str, group_order: int, word_text: str,
-                 arity: int, evaluations: int, *,
+    def __init__(self, image: WordImage, evaluations: int, *,
                  chiral: Optional[bool] = None,
                  weakly_chiral: Optional[bool] = None,
                  chiral_witness: Optional[int] = None,
                  weak_witness: Optional[int] = None,
                  gamma_results: Optional[List[dict]] = None,
                  all_gammas_agree: Optional[bool] = None,
-                 members: Tuple[int, ...] = (),
                  counts: Optional[Tuple[int, ...]] = None,
                  wall_time_s: float = 0.0):
-        self.group_name = group_name
-        self.group_order = group_order
-        self.word_text = word_text
-        self.arity = arity
+        self.image = image
         self.evaluations = evaluations
         self.chiral = chiral
         self.weakly_chiral = weakly_chiral
@@ -434,19 +412,19 @@ class ChiralityReport:
         self.weak_witness = weak_witness
         self.gamma_results = [] if gamma_results is None else gamma_results
         self.all_gammas_agree = all_gammas_agree
-        self.members = members
         self.counts = counts
         self.wall_time_s = wall_time_s
 
     def to_structured(self) -> dict:
+        img = self.image
         return {
             "schema_version": 1,
             "kind": "chirality-report",
-            "group": self.group_name,
-            "order": self.group_order,
-            "word": self.word_text,
-            "arity": self.arity,
-            "members": list(self.members),
+            "group": img.group.name,
+            "order": img.group.order,
+            "word": render_word(img.word),
+            "arity": img.arity,
+            "members": list(img.member_indices),
             "counts": list(self.counts) if self.counts is not None else None,
             "chiral": self.chiral,
             "weakly_chiral": self.weakly_chiral,
@@ -547,9 +525,11 @@ def _check_antis(g: FiniteGroup, gammas: Sequence[GroupMap]) -> None:
 
 
 def _report(v: PairVerdicts, start: float, key: str,
-            per_gamma: Sequence[bool], **verdicts) -> ChiralityReport:
+            per_gamma: Sequence[bool], scans: int = 1,
+            **verdicts) -> ChiralityReport:
     """A report on v's pair with the given verdicts, timed from `start`; with
-    gammas, each one's verdict under `key` and if all equal verdicts[key]."""
+    gammas, each one's verdict under `key` and if all equal verdicts[key].
+    The verdicts took `scans` scans of G^(w.rank)."""
     img = v.image
     if per_gamma:
         verdicts["gamma_results"] = [{"gamma_index": i, key: x}
@@ -557,10 +537,7 @@ def _report(v: PairVerdicts, start: float, key: str,
         verdicts["all_gammas_agree"] = all(x == verdicts[key]
                                            for x in per_gamma)
     return ChiralityReport(
-        group_name=img.group.name, group_order=img.group.order,
-        word_text=render_word(img.word), arity=img.arity,
-        evaluations=img.group.order ** img.arity,
-        members=img.member_indices, **verdicts,
+        img, scans * img.group.order ** img.arity, **verdicts,
         wall_time_s=time.perf_counter() - start)
 
 
@@ -596,22 +573,18 @@ def is_gamma_chiral_pair(g: FiniteGroup, w: Word, *,
         _check_antis(g, [gamma_group])
     v = pair_verdicts(g, w, budget=budget)
     members = v.image.members
-    if gamma_word is not None:
-        tw = apply_anti(w, gamma_word)
-        twisted = image(g, tw, budget=budget)
-        other, flavor = twisted.members, "word-anti"
-        twisted_evaluations = g.order ** twisted.arity
+    if gamma_word is not None:  # gamma(w) has w's rank: one more scan
+        other = image(g, apply_anti(w, gamma_word), budget=budget).members
+        flavor, scans = "word-anti", 2
     else:
         other = tuple(map(members.__getitem__, gamma_group.inverse_images))
-        flavor, twisted_evaluations = "group-anti", 0
+        flavor, scans = "group-anti", 1
     witness = next((x for x, (a, b) in enumerate(zip(members, other))
                     if a != b), None)
     chiral = witness is not None
-    report = _report(v, start, "chiral", (), chiral=chiral,
-                     chiral_witness=witness,
-                     gamma_results=[{"gamma": flavor, "chiral": chiral}])
-    report.evaluations += twisted_evaluations
-    return report
+    return _report(v, start, "chiral", (), scans, chiral=chiral,
+                   chiral_witness=witness,
+                   gamma_results=[{"gamma": flavor, "chiral": chiral}])
 
 
 def is_weakly_chiral_pair(g: FiniteGroup, w: Word,

@@ -556,11 +556,17 @@ def from_permutation_generators(perms: Sequence[Sequence[int]],
                                 name: str = "perm-group") -> FiniteGroup:
     """Close a set of permutations of 0..m-1 under composition.
 
-    Elements are ordered by breadth-first discovery from the identity.
+    Elements are ordered by breadth-first discovery from the identity. A
+    generator on more than DEFAULT_ORDER_CAP points is refused before the
+    closure starts: the table costs |G|^2 m, and every group within the
+    order cap acts faithfully on that many points (its regular action).
     """
     gens = []
     for p in perms:
         t = tuple(p)
+        if len(t) > DEFAULT_ORDER_CAP:
+            raise CapExceededError(
+                f"permutation degree {len(t)} exceeds cap {DEFAULT_ORDER_CAP}")
         if sorted(t) != list(range(len(t))):
             raise GroupError(f"not a permutation: {p}")
         gens.append(t)
@@ -763,17 +769,12 @@ def inversion_map(g: FiniteGroup) -> GroupMap:
     return GroupMap._derived(g, g.inverses, ANTI_AUTOMORPHISM)
 
 
-def _after_inversion(m: GroupMap, kind: str, result_kind: str) -> GroupMap:
-    """x -> m(x^-1) for m of `kind`; inversion swaps the two kinds."""
-    if m.kind != kind:
-        raise GroupError(f"expected an {kind}")
-    images = tuple(map(m.images.__getitem__, m.group.inverses))
-    return GroupMap._derived(m.group, images, result_kind)
-
-
 def anti_from_auto(zeta: GroupMap) -> GroupMap:
-    """The anti-automorphism x -> zeta(x^-1)."""
-    return _after_inversion(zeta, AUTOMORPHISM, ANTI_AUTOMORPHISM)
+    """The anti-automorphism x -> zeta(x^-1); inversion swaps the kinds."""
+    if zeta.kind != AUTOMORPHISM:
+        raise GroupError("expected an automorphism")
+    images = tuple(map(zeta.images.__getitem__, zeta.group.inverses))
+    return GroupMap._derived(zeta.group, images, ANTI_AUTOMORPHISM)
 
 
 def _greedy_generators(table: Sequence[Sequence[int]],

@@ -29,6 +29,10 @@ from .groups import (
 from .words import Word, canonical_words, parse_word, render_word
 
 
+# The longest finding record, in bytes, that `replay` reads from one line.
+MAX_RECORD_BYTES = 2 ** 20
+
+
 class MalformedRecordError(ValueError):
     """A finding record cannot be replayed."""
 

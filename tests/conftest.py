@@ -6,8 +6,8 @@ import pytest
 from chiralwords.groups import (
     ANTI_AUTOMORPHISM,
     AUTOMORPHISM,
+    GroupError,
     GroupMap,
-    _after_inversion,
     from_cayley_document,
 )
 from chiralwords.words import Word, reduce_syllables
@@ -31,8 +31,13 @@ def concat(a: Word, b: Word) -> Word:
 
 
 def auto_from_anti(gamma: GroupMap) -> GroupMap:
-    """The automorphism x -> gamma(x^-1); inverse of `anti_from_auto`."""
-    return _after_inversion(gamma, ANTI_AUTOMORPHISM, AUTOMORPHISM)
+    """The automorphism x -> gamma(x^-1); inverse of `anti_from_auto`. The
+    checked constructor verifies its law."""
+    if gamma.kind != ANTI_AUTOMORPHISM:
+        raise GroupError("expected an anti-automorphism")
+    return GroupMap(gamma.group,
+                    tuple(map(gamma.images.__getitem__, gamma.group.inverses)),
+                    AUTOMORPHISM)
 
 
 def brute_force_reduced_words(rank: int, max_len: int) -> set:

@@ -29,8 +29,8 @@ from chiralwords.groups import (
 from chiralwords.words import parse_word
 
 # (word, rank): words that skip x1, a rank above the word's largest
-# generator, rank 1, the identity word, a commutator, and words whose
-# trailing coordinates share one scan block on small groups.
+# generator, rank 1, the identity word (the closed form's m = 0 case), a
+# commutator, and words reading 3 or more coordinates.
 WORDS = [
     ("x1 x2 x1^-1 x2^-1", 2),
     ("x1 x3 x2 x4 x1^-1 x3^2", 4),

@@ -15,6 +15,7 @@ import chiralwords
 from chiralwords import cli
 from chiralwords.cli import main
 from chiralwords.groups import MAX_AUTOMORPHISMS
+from chiralwords.search import MAX_RECORD_BYTES
 from chiralwords.words import MAX_DIGITS
 
 
@@ -418,6 +419,29 @@ def test_replay_names_the_line_of_an_integer_json_refuses(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 1: invalid JSON: ")
+
+
+def test_replay_names_the_line_of_json_nested_too_deep(capsys, tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n" + "[" * 200_000 + "\n")
+    code, out, err = run(capsys, "replay", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: invalid JSON: maximum recursion")
+
+
+def test_replay_refuses_a_line_over_the_bound_before_parsing(capsys,
+                                                             tmp_path):
+    record = json.dumps({"group": "S3", "word": "x1 x2", "arity": 2,
+                         "chiral": False}).encode()
+    padded = record + b" " * (MAX_RECORD_BYTES - len(record))
+    path = tmp_path / "long.jsonl"
+    # A line of the bound passes. A line one byte longer would pass too if
+    # it were parsed; it is refused.
+    path.write_bytes(padded + b"\n" + padded + b" \n")
+    code, out, err = run(capsys, "replay", str(path))
+    assert (code, out) == (2, "line 1: pass\n")
+    assert err == (f"error: line 2: longer than {MAX_RECORD_BYTES} "
+                   "bytes\n")
 
 
 @pytest.mark.parametrize("spec", ["C2x", "xC2", "C2xxC3", ""])

@@ -275,7 +275,7 @@ def test_chiral_report_witness_consistency(rng):
     for _ in range(10):
         w = random_reduced_word(rng, 2, 4)
         report = is_chiral_pair(g, w)
-        members = set(report.members)
+        members = set(report.image.member_indices)
         if report.chiral:
             x = report.chiral_witness
             assert x in members and g.inv(x) not in members

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -225,6 +226,27 @@ def test_cayley_file_above_the_cap_exits_2_before_validation(
     code, _, err = call(capsys, ["group", "show", f"@{path}"])
     assert code == 2
     assert f"order {n} exceeds cap {DEFAULT_ORDER_CAP}" in err
+
+
+@pytest.mark.parametrize("degree, cycle", [(DEFAULT_ORDER_CAP + 1, 2),
+                                           (200_000, 32)])
+def test_permutations_on_more_points_than_the_cap_exit_2_at_once(
+        capsys, tmp_path, fresh_file_cache, degree, cycle):
+    # A cycle of `cycle` points, fixing the rest: a group of order `cycle`
+    # whose table would cost |G|^2 * degree to build.
+    gen = list(range(degree))
+    gen[:cycle] = gen[1:cycle] + gen[:1]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"perm-gens": [gen]}))
+    start = time.perf_counter()
+    code, out, err = call(capsys, ["group", "show", f"@{path}"])
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == (f"error: permutation degree {degree} exceeds cap "
+                   f"{DEFAULT_ORDER_CAP}\n")
+    gen[DEFAULT_ORDER_CAP:] = []
+    path.write_text(json.dumps({"perm-gens": [gen]}))
+    assert parse_group_spec(f"@{path}").order == cycle
 
 
 def test_oversized_group_file_is_refused_unread(capsys, tmp_path,

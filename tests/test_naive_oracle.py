@@ -41,7 +41,7 @@ def assert_matches_per_tuple(g, w):
     counts = per_tuple_counts(g, w)
     assert fibers.counts == counts, (g.name, w)
     assert img.members == tuple(c > 0 for c in counts)
-    assert img.arity == fibers.arity == w.rank
+    assert img.arity == fibers.word.rank == w.rank
     assert sum(fibers.counts) == g.order ** w.rank
 
 

@@ -30,6 +30,7 @@ NONABELIAN = [(spec, g) for spec, g in catalog_groups(32)
               if not g.is_abelian]
 RANK3 = ["x1 x2 x3", "x1^2 x3^-1 x2 x1", "x1 x2 x3 x1^-1 x2^-1 x3^-1",
          "x3^2 x1^-3 x2"]
+RANK4 = "x1^2 x3^-1 x2 x4 x1 x3^2 x4^-1"
 
 
 def relabelled(g, seed):
@@ -77,6 +78,10 @@ def test_both_scans_match_naive(spec, g):
                 assert tuple(counts) == ref.counts, (scan.__name__, w)
         n += 1
     assert n >= 17  # each nonidentity canonical word of rank 2, length <= 4
+    if spec in ("A4", "Q8"):  # no route gives the class scan 4 coordinates
+        w = parse_word(RANK4, 4)
+        _, ref = naive_image(g, w)
+        assert tuple(engine._class_scan(g, w, [1, 2, 3, 4])) == ref.counts
 
 
 @pytest.fixture
@@ -136,7 +141,7 @@ def test_the_subgroup_is_abelian_normal_and_its_cosets_tile_g(spec, g):
     assert set().union(*cosets) == set(g.elements())
 
 
-def test_routing(monkeypatch):
+def test_routing(monkeypatch, tmp_path):
     taken, widths = [], []  # (group, scan) and len(read) of each scan
     for name in ("_normal_scan", "_class_scan"):
         def spy(g, w, read, scan=getattr(engine, name), name=name):
@@ -174,6 +179,28 @@ def test_routing(monkeypatch):
         widths.clear()
         image(g, parse_word("x1 x2 x3 x1^-1 x2^-1 x3^-1", 3))
         assert taken == [(g.name, "_class_scan")] and widths == [3], spec
+    # Every nonabelian group of order <= 16 takes the scan over A at ranks 3
+    # and 4 (a product on its nonabelian factor), so the class scan never
+    # reads 3 or more coordinates of a group that small. A relabelled file
+    # of Q8xC2 keeps no factors and is scanned whole.
+    q8c2 = relabelled(parse_group_spec("Q8xC2"), 16)
+    doc = tmp_path / "q8c2.json"
+    doc.write_text(json.dumps({"name": "Q8xC2", "order": 16, "table": [
+        list(row) for row in q8c2.table]}))
+    q8c2_file = parse_group_spec(f"@{doc}")
+    assert q8c2_file.factors is None
+    small = [g for _, g in catalog_groups(16) if not g.is_abelian]
+    assert len(small) == 10
+    for g in small + [q8c2_file]:
+        for rank in (3, 4):
+            taken.clear()
+            widths.clear()
+            image(g, parse_word(" ".join(
+                [f"x{i}" for i in range(1, rank + 1)]
+                + [f"x{i}^-1" for i in range(1, rank + 1)]), rank))
+            assert [name for _, name in taken] == ["_normal_scan"], g.name
+            assert widths == [rank], g.name
+    assert taken == [(q8c2_file.name, "_normal_scan")]
 
 
 CHIRAL = "x1^-12 x2 x1^3 x2^2"
