@@ -209,9 +209,13 @@ def cmd_verify(args) -> int:
                      f"{r.wall_time_s:.2f}s]")
     lines.append(f"stable digest: {summary['stable_digest']}")
     if args.out:
+        text = reports.dumps(summary)
         with open(args.out, "w") as fh:
-            fh.write(reports.dumps(summary) + "\n")
-    _emit(args, summary, lines)
+            fh.write(text + "\n")
+    if args.out and args.format == "structured":
+        print(text)
+    else:
+        _emit(args, summary, lines)
     return EXIT_OK if summary["passed"] else EXIT_FAIL
 
 

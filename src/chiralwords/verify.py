@@ -275,9 +275,10 @@ def _drive(name: str, bounds: Bounds,
     report = VerificationReport(name, bounds)
     start = time.perf_counter()
     check = _SUITES[name](bounds, words)
+    texts = [render_word(w) for w in words]
     for spec, g in catalog_groups(bounds.max_order, bounds.families):
-        for w in words:
-            where = {"group": spec, "word": render_word(w)}
+        for w, text in zip(words, texts):
+            where = {"group": spec, "word": text}
             try:
                 check(report, where, g, w)
             except (BudgetExceededError, CapExceededError) as exc:

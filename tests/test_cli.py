@@ -142,6 +142,25 @@ def test_verify_command(capsys):
     assert "stable_digest" in doc
 
 
+def test_verify_writes_to_its_out_file_the_bytes_it_prints(
+        capsys, monkeypatch, tmp_path):
+    out_path = tmp_path / "summary.json"
+    rendered = []
+    dumps = cli.reports.dumps
+
+    def counting(obj):
+        rendered.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(cli.reports, "dumps", counting)
+    code, out, _ = run(capsys, "verify", "lemma1", "--max-order", "6",
+                       "--max-len", "2", "--out", str(out_path),
+                       "--format", "structured")
+    assert code == 0
+    assert out_path.read_bytes() == out.encode()
+    assert len(rendered) == 1
+
+
 def test_verify_degenerate_bounds(capsys):
     code, out, _ = run(capsys, "verify", "all", "--max-order", "1",
                        "--max-len", "0")

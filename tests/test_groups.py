@@ -214,6 +214,62 @@ def test_validate_reports_law():
     assert any("associativity" in v for v in violations)
 
 
+# A loop of order 5 in which 2, 3 and 4 have one-sided inverses only:
+# 2*3 = 0 but 3*2 = 1, for one.
+ONE_SIDED_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+
+def scanned_inverse_violations(table):
+    """The inverse check as a scan of every pair, kept as the oracle."""
+    n, e = len(table), find_identity(table)
+    return [f"element {a} has no two-sided inverse" for a in range(n)
+            if not any(table[a][b] == e and table[b][a] == e
+                       for b in range(n))]
+
+
+def relabelled(table, perm):
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            out[perm[a]][perm[b]] = perm[v]
+    return out
+
+
+def times_cyclic(table, m):
+    """table x C_m, with (a, i) at index a*m + i."""
+    n = len(table)
+    return [[table[a][b] * m + (i + j) % m for b in range(n) for j in range(m)]
+            for a in range(n) for i in range(m)]
+
+
+INVERSE_CASES = {
+    "loop": ONE_SIDED_LOOP,
+    "relabelled": relabelled(ONE_SIDED_LOOP, [3, 0, 4, 1, 2]),
+    # 12 elements without a two-sided inverse, so the cap of 10 is reached.
+    "loop-x-C4": times_cyclic(ONE_SIDED_LOOP, 4),
+    # No Latin square: row 1 holds no identity, and 2*1 = 0 is no inverse
+    # of 2 (1*2 = 1), but 2*2 = 0 is a two-sided one.
+    "no-permutation": [[0, 1, 2], [1, 1, 1], [2, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("table", INVERSE_CASES.values(),
+                         ids=INVERSE_CASES.keys())
+def test_inverse_violations_match_a_scan_of_every_pair(table):
+    expected = scanned_inverse_violations(table)
+    violations = validate_group(table)
+    assert expected
+    assert [v for v in violations if "inverse" in v] == expected[:10]
+    if len(expected) >= 10:
+        assert violations == expected[:10]
+
+
 # --- automorphisms ----------------------------------------------------------------
 
 @pytest.mark.parametrize("spec,count", [
