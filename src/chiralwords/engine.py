@@ -1,8 +1,10 @@
 """Word-map evaluation over G^d: images, fibers, and chirality verdicts.
 
-On abelian groups the word map is a homomorphism, and on any group a word
-reading at most one coordinate is a power map, so their fiber counts come
-in closed form from one power table, with no scan. On a direct product
+Every route reads the word's cyclic reduction, which has the word's fiber
+counts (`Word.scan_plan`). On abelian groups the word map is a
+homomorphism, and on any group a word reading at most one coordinate is a
+power map, so their fiber counts come in closed form from one table of
+root counts (`FiniteGroup.root_counts`), with no scan. On a direct product
 A x B built by `groups.direct_product` they are the outer product of the
 factors' counts, so only A^d and B^d are scanned, never (A x B)^d.
 Elsewhere they come from one tuple per coset of A^k for an abelian normal
@@ -19,7 +21,6 @@ independent oracle.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from itertools import compress, product
@@ -135,7 +136,7 @@ def normal_wins(g: FiniteGroup, k: int) -> bool:
                        < len(g.conjugacy_classes) * g.order ** (k - 1))
 
 
-def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
+def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> Sequence[int]:
     """Exact fiber counts of w over G^arity, arity = w.rank: in closed form
     on abelian groups and for words reading at most one coordinate, as an
     outer product on direct products, and on the rest from a scan over an
@@ -150,13 +151,13 @@ def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
     m = 0 when every sum is 0, giving {e}). Every fiber over the image is
     a coset of the kernel, so each element of G^m has |G|^arity / |G^m|
     preimages and every other element none. The power map a -> a^m is a
-    homomorphism with image G^m, so counting its preimages through
-    `power_table(m)` and scaling by |G|^(arity-1) gives those counts
-    without a scan. On any group a word reading only x_i is x_i^e, e its
-    exponent sum, with counts #{a : a^e = x} |G|^(arity-1); a -> a^-1 maps
-    {a : a^-e = x} onto {a : a^e = x}, so they depend on |e| = m only. The
-    identity word, reading no coordinate, is the case m = 0 (`math.gcd()`
-    is 0): a -> a^0 sends all n elements to e, giving n^arity at e.
+    homomorphism with image G^m, so its root counts R_m (`root_counts(m)`)
+    scaled by |G|^(arity-1) are those counts, with no scan. On any group a
+    word reading only x_i is x_i^e, e its exponent sum, with counts
+    R_e(x) |G|^(arity-1); a -> a^-1 maps {a : a^-e = x} onto
+    {a : a^e = x}, so they depend on |e| = m only. The identity word,
+    reading no coordinate, is the case m = 0: a -> a^0 sends all n
+    elements to e, giving n^arity at e.
 
     On a nonabelian G = A x B built by `direct_product` (`g.factors`),
     (A x B)^arity = A^arity x B^arity and w is evaluated componentwise, so
@@ -173,23 +174,20 @@ def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
     syllable only, then w = A x_i^e B with A, B free of x_i. With the other
     coordinates fixed, A y^e B = x has R_e(A^-1 x B^-1) = R_e(x (AB)^-1)
     solutions y (conjugate by A), for R_e(z) = #{y : y^e = z}, a class
-    function read off `power_table(e)`. So N_w(x) = sum_z N_AB(z) R_e(x z^-1)
+    function (`root_counts(e)`). So N_w(x) = sum_z N_AB(z) R_e(x z^-1)
     / |G|, N_AB counted over G^arity (x_i unread) by this same function,
     once per class of x and over the support of N_AB.
     """
     arity = w.rank
     _check_budget(g, arity, budget)
     n = g.order
-    read = sorted({gen for gen, _ in w.syllables})
+    w, read, m = w.scan_plan()
     if g.is_abelian or len(read) <= 1:  # a homomorphism or a power map
-        counts = [0] * n
-        sums = dict.fromkeys(read, 0)
-        for gen, exp in w.syllables:
-            sums[gen] += exp
+        roots = g.root_counts(m)
+        if arity == 1:
+            return roots
         scale = n ** (arity - 1)
-        for x in g.power_table(math.gcd(*sums.values())):
-            counts[x] += scale
-        return counts
+        return [c * scale for c in roots]
     if g.factors is not None:  # G = A x B: N_w(a, b) = N_w^A(a) N_w^B(b)
         a, b = g.factors
         counts_b = _fiber_counts(b, w, budget)
@@ -218,9 +216,7 @@ def _eliminate(g: FiniteGroup, w: Word, budget: int) -> Optional[List[int]]:
         return None
     rest = _fiber_counts(
         g, reduce_syllables(sylls[:j] + sylls[j + 1:], w.rank), budget)
-    roots = [0] * n  # R_e
-    for y in g.power_table(sylls[j][1]):
-        roots[y] += 1
+    roots = g.root_counts(sylls[j][1])  # R_e
     weights = list(compress(rest, rest))  # N_AB(z), z in its support
     inverses = list(compress(g.inverses, rest))  # those z^-1
     counts = [0] * n
@@ -233,7 +229,7 @@ def _eliminate(g: FiniteGroup, w: Word, budget: int) -> Optional[List[int]]:
     return counts
 
 
-def _normal_scan(g: FiniteGroup, w: Word, read: List[int]) -> List[int]:
+def _normal_scan(g: FiniteGroup, w: Word, read: Sequence[int]) -> List[int]:
     """Fiber counts of w over G^k, k = len(read) >= 2, from one tuple per
     coset of A^k, for A = `g.abelian_normal` abelian and normal in G.
 
@@ -286,7 +282,7 @@ def _normal_scan(g: FiniteGroup, w: Word, read: List[int]) -> List[int]:
     return counts
 
 
-def _class_scan(g: FiniteGroup, w: Word, read: List[int]) -> List[int]:
+def _class_scan(g: FiniteGroup, w: Word, read: Sequence[int]) -> List[int]:
     """Fiber counts of w over G^k, k = len(read) >= 2, from one first
     coordinate per conjugacy class.
 

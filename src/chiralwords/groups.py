@@ -97,6 +97,7 @@ class FiniteGroup:
         # lookup and kept.
         self._hash: Optional[int] = None
         self._powers: Dict[int, Tuple[int, ...]] = {}
+        self._roots: Dict[int, Tuple[int, ...]] = {}
 
     def _key(self) -> tuple:
         return self.name, self.order, self.table, self.inverses, self.labels
@@ -186,6 +187,18 @@ class FiniteGroup:
         if k not in self._powers:
             self._powers[k] = tuple(self.power(a, k) for a in self.elements())
         return self._powers[k]
+
+    def root_counts(self, k: int) -> Tuple[int, ...]:
+        """R_k(x) = #{y : y^k = x} for every x, memoized beside
+        `power_table` by k reduced mod exp(G)."""
+        k %= self.exponent
+        roots = self._roots.get(k)
+        if roots is None:
+            counts = [0] * self.order
+            for y in self.power_table(k):
+                counts[y] += 1
+            roots = self._roots[k] = tuple(counts)
+        return roots
 
     @_fact
     def profiles(self) -> Tuple[Tuple[int, int], ...]:

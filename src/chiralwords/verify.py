@@ -45,6 +45,10 @@ from .words import (
 )
 
 MAX_RECORDED_FAILURES = 100
+# The most Nielsen moves in a sampled automorphism. Moves lengthen words:
+# at the default bounds, 64 moves take about 0.6 s to sample and reach
+# 9,225 syllables; 128 pass `words.MAX_EXPANSION`.
+MAX_THETA_LENGTH = 64
 
 
 class Bounds:
@@ -73,6 +77,9 @@ class Bounds:
                             ("gamma_samples", gamma_samples)):
             if count < 0:  # range(-1) is empty
                 raise ValueError(f"{name} must be nonnegative, got {count}")
+        if not 0 <= theta_length <= MAX_THETA_LENGTH:
+            raise ValueError(f"theta_length must be between 0 and "
+                             f"{MAX_THETA_LENGTH}, got {theta_length}")
         # 2^rank > budget: every group but C1 would be a budget skip, after
         # O(rank^2) work per sampled automorphism. Decided without 2^rank.
         if budget < 1 or rank >= budget.bit_length():

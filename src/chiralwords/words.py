@@ -7,6 +7,7 @@ generator. Generators are indexed 1..rank. All values here are immutable.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -58,6 +59,7 @@ class Word:
         self.rank = rank
         self.syllables = syllables
         self.support_rank = top
+        self._plan: Optional[tuple] = None
 
     def __eq__(self, other):
         if other.__class__ is not Word:
@@ -87,6 +89,33 @@ class Word:
         _check_expansion(self, self.length, "letters")
         return ((gen, 1 if exp > 0 else -1)
                 for gen, exp in self.syllables for _ in range(abs(exp)))
+
+    def scan_plan(self) -> Tuple["Word", Tuple[int, ...], int]:
+        """What a scan reads of the word on any group, worked out on the
+        first call and kept: the cyclic reduction, the generators it reads
+        in ascending order, and the gcd of its exponent sums (0 if all are
+        0). The reduction merges the last syllable into the first while
+        both are on one generator. It is u^-1 w u for some u, w's image
+        under an inner automorphism of F_d, so it has w's fiber counts on
+        every group, and w's exponent sums."""
+        plan = self._plan
+        if plan is None:
+            sylls = list(self.syllables)
+            while len(sylls) > 1 and sylls[0][0] == sylls[-1][0]:
+                gen, exp = sylls.pop()
+                exp += sylls[0][1]
+                if exp:
+                    sylls[0] = (gen, exp)
+                else:
+                    del sylls[0]
+            sums: dict = {}
+            for gen, exp in sylls:
+                sums[gen] = sums.get(gen, 0) + exp
+            reduced = (self if len(sylls) == len(self.syllables)
+                       else Word(self.rank, tuple(sylls)))
+            plan = self._plan = reduced._plan = (
+                reduced, tuple(sorted(sums)), math.gcd(*sums.values()))
+        return plan
 
 
 def _check_expansion(w: Word, size: int, unit: str) -> None:
@@ -217,10 +246,10 @@ def substitute(w: Word, e: FreeGroupEndo) -> Word:
                             for gen, exp in w.syllables), "syllables")
     out: list[Syllable] = []
     for gen, exp in w.syllables:
-        img = e.images[gen - 1]
-        piece = img.syllables if exp > 0 else invert(img).syllables
-        for _ in range(abs(exp)):
-            out.extend(piece)
+        piece = e.images[gen - 1].syllables
+        if exp < 0:
+            piece = tuple((g, -x) for g, x in reversed(piece))
+        out += piece * abs(exp)
     return reduce_syllables(out, w.rank)
 
 
@@ -266,15 +295,42 @@ def nielsen_generators(rank: int) -> list[FreeGroupEndo]:
 
 
 def random_automorphism(rank: int, length: int, seed: int) -> FreeGroupEndo:
-    """Compose `length` Nielsen generators chosen by a seeded RNG."""
+    """Compose `length` Nielsen generators chosen by a seeded RNG.
+
+    Equal, refusals included, to folding `compose` over the drawn
+    `nielsen_generators`, but each move changes only what it must of the
+    images and inverse images. Only a transvection can pass MAX_EXPANSION
+    (a swap or an inversion keeps every syllable count and length), so
+    only it runs `compose`'s checks, through `substitute`.
+    """
     if length < 0:
         raise ValueError("length must be nonnegative")
     rng = random.Random(seed)
+    # rank - 1 swaps, the inversion, then (rank >= 2) the transvection;
+    # drawing an index draws as `rng.choice(gens)` does.
     gens = nielsen_generators(rank)
-    endo = identity_endo(rank)
+    moves = range(len(gens))
+    product, back = gens[-1].images[0], gens[-1].inverse()
+    images = list(identity_endo(rank).images)
+    inverses = images[:]
     for _ in range(length):
-        endo = compose(endo, rng.choice(gens))
-    return endo
+        move = rng.choice(moves)
+        if move < rank - 1:  # swap x_a and x_b: relabel the inverses
+            a, b = move + 1, move + 2
+            images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
+            label = {a: b, b: a}
+            inverses = [Word(rank, tuple((label.get(gen, gen), exp)
+                                         for gen, exp in w.syllables))
+                        for w in inverses]
+        elif move == rank - 1:  # x1 -> x1^-1: negate x1 in the inverses
+            images[0] = invert(images[0])
+            inverses = [Word(rank, tuple((gen, -exp if gen == 1 else exp)
+                                         for gen, exp in w.syllables))
+                        for w in inverses]
+        else:  # x1 -> x1 x2, whose inverse is x1 -> x1 x2^-1
+            images[0] = substitute(product, FreeGroupEndo(rank, tuple(images)))
+            inverses = [substitute(w, back) for w in inverses]
+    return FreeGroupEndo(rank, tuple(images), tuple(inverses))
 
 
 class FreeAntiAuto:

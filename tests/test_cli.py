@@ -193,6 +193,19 @@ def test_verify_refuses_a_negative_sample_count(capsys, flag):
     assert err.startswith("error: " + flag[2:].replace("-", "_"))
 
 
+@pytest.mark.parametrize("length", ["-1", "65", "1000000000"])
+def test_verify_refuses_a_theta_length_outside_the_cap(capsys, length):
+    # Refused before any automorphism is sampled: at rank 1 a length of
+    # 300,000 used to run for seconds.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "all", "--rank", "1",
+                         "--theta-length", length)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err == ("error: theta_length must be between 0 and 64, "
+                   f"got {length}\n")
+
+
 def test_verify_seed_reproducible(capsys):
     args = ("verify", "lemma1", "--max-order", "6", "--max-len", "2",
             "--seed", "3", "--format", "structured")

@@ -72,9 +72,13 @@ def test_rank_3_matches_naive(spec, texts, monkeypatch):
     seen = eliminations(monkeypatch)
     for text in texts:
         w = parse_word(text, 3)
+        reduced, read, _ = w.scan_plan()
         seen.clear()
         assert_matches_naive(g, w)
-        assert seen[0] == (w, True), text
+        # Every route reads the cyclic reduction; x1 x2 x3 x2^-1 x1^-1
+        # reduces to x3, which takes the closed form instead.
+        expected = [(reduced, True)] if len(read) >= 3 else []
+        assert seen[:1] == expected, text
 
 
 def test_rank_4_eliminates_twice(monkeypatch):

@@ -129,6 +129,16 @@ def test_bounds_refuse_a_negative_sample_count(name):
     assert getattr(Bounds(**{name: 0}), name) == 0
 
 
+@pytest.mark.parametrize("length", [-1, verify.MAX_THETA_LENGTH + 1, 10 ** 9])
+def test_bounds_refuse_a_theta_length_outside_the_cap(length):
+    with pytest.raises(ValueError, match=(
+            f"theta_length must be between 0 and {verify.MAX_THETA_LENGTH}, "
+            f"got {length}")):
+        Bounds(theta_length=length, theta_samples=0, gamma_samples=0)
+    for edge in (0, verify.MAX_THETA_LENGTH):
+        assert Bounds(theta_length=edge).theta_length == edge
+
+
 @pytest.mark.parametrize("rank, budget", [(25, DEFAULT_BUDGET), (3, 7),
                                           (1, 1), (1, 0), (1, -5)])
 def test_bounds_refuse_a_rank_over_the_budget(rank, budget):
