@@ -136,7 +136,7 @@ def normal_wins(g: FiniteGroup, k: int) -> bool:
                        < len(g.conjugacy_classes) * g.order ** (k - 1))
 
 
-def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> Sequence[int]:
+def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
     """Exact fiber counts of w over G^arity, arity = w.rank: in closed form
     on abelian groups and for words reading at most one coordinate, as an
     outer product on direct products, and on the rest from a scan over an
@@ -183,11 +183,8 @@ def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> Sequence[int]:
     n = g.order
     w, read, m = w.scan_plan()
     if g.is_abelian or len(read) <= 1:  # a homomorphism or a power map
-        roots = g.root_counts(m)
-        if arity == 1:
-            return roots
         scale = n ** (arity - 1)
-        return [c * scale for c in roots]
+        return [c * scale for c in g.root_counts(m)]
     if g.factors is not None:  # G = A x B: N_w(a, b) = N_w^A(a) N_w^B(b)
         a, b = g.factors
         counts_b = _fiber_counts(b, w, budget)

@@ -299,9 +299,15 @@ def random_automorphism(rank: int, length: int, seed: int) -> FreeGroupEndo:
 
     Equal, refusals included, to folding `compose` over the drawn
     `nielsen_generators`, but each move changes only what it must of the
-    images and inverse images. Only a transvection can pass MAX_EXPANSION
-    (a swap or an inversion keeps every syllable count and length), so
-    only it runs `compose`'s checks, through `substitute`.
+    images and inverse images. Every image has at most MAX_EXPANSION
+    syllables and every inverse image at most MAX_EXPANSION letters: each
+    was checked when a transvection's `substitute` built it (substituting
+    x1 x2^-1 for x1 gives no more letters than the size it checks), and a
+    swap or an inversion keeps both counts. For a swap or an inversion,
+    `compose` checks exactly those sizes (the images' syllables, and the
+    inverse images' letters, as each letter becomes one syllable), so its
+    checks cannot fail and are skipped. A transvection runs them, through
+    `substitute`, in `compose`'s order.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
