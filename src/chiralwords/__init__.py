@@ -37,7 +37,6 @@ from .words import (
     apply_anti,
     canonical_form,
     compose,
-    enumerate_words,
     identity_endo,
     identity_word,
     invert,

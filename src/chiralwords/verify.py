@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import deque
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import catalog_groups
 from .engine import (
@@ -29,6 +29,7 @@ from .groups import (
     DEFAULT_AUTO_CAP,
     CapExceededError,
     FiniteGroup,
+    GroupMap,
     enumerate_anti_automorphisms,
     enumerate_automorphisms,
 )
@@ -149,121 +150,184 @@ def _sampled_autos(bounds: Bounds, label: str, w: Word,
         for i in range(count)]
 
 
+class _Scans:
+    """The scans of one run, each done once: `run_all` shares one across
+    its suites, `run_suite` builds its own, and `search`, `replay` and the
+    CLI queries never read one.
+
+    A scan is kept by (group, cyclic reduction of the word). Every scan
+    routes on that reduction (`Word.scan_plan`), so equal keys give equal
+    counts. A scan over the budget raises on each call and is not kept.
+    Equal member and count tuples are stored once."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.found: Dict[tuple, Tuple[tuple, tuple]] = {}
+        self.members: Dict[tuple, tuple] = {}
+        self.counts: Dict[tuple, tuple] = {}  # apart: (1,) == (True,)
+
+    def __call__(self, g: FiniteGroup, w: Word) -> Tuple[tuple, tuple]:
+        """G_w's membership set and fiber counts."""
+        key = (g, w.scan_plan()[0])
+        found = self.found.get(key)
+        if found is None:
+            img, fibers = image(g, w, want_fibers=True, budget=self.budget)
+            found = self.found[key] = (
+                self.members.setdefault(img.members, img.members),
+                self.counts.setdefault(fibers.counts, fibers.counts))
+        return found
+
+
+def _indices(members: Sequence[bool]) -> List[int]:
+    return [x for x, present in enumerate(members) if present]
+
+
 # Each suite builds the check that the driver applies to every (group, word)
 # pair; `where` names the pair in records. A check makes every call that can
 # raise before it counts a case. Sampled words keep w.rank, so their scans
-# pass the budget test that the check's first scan passed.
+# pass the budget test that the check's first scan passed. A check over
+# Aut(G) or AA(G) runs once per group and distinct input, and each pair
+# counts its cases and records its failures from that one result.
 Check = Callable[[VerificationReport, dict, FiniteGroup, Word], None]
 
 
-def _lemma1(bounds: Bounds, words: Sequence[Word]) -> Check:
+def _lemma1(bounds: Bounds, words: Sequence[Word], scan: _Scans) -> Check:
     """G_w = G_{theta(w)} for sampled theta in A(F_d), and zeta(G_w) = G_w
     for every zeta in A(G)."""
     samples = {w: [(theta, substitute(w, theta)) for theta in
                    _sampled_autos(bounds, "lemma-theta", w,
                                   bounds.theta_samples)]
                for w in words}
+    moved: Dict[tuple, List[int]] = {}  # (g, G_w) -> zetas that move G_w
 
     def check(report, where, g, w):
         autos = enumerate_automorphisms(g, bounds.auto_cap)
-        img = image(g, w, budget=bounds.budget)
+        members = scan(g, w)[0]
         for theta, tw in samples[w]:
-            img2 = image(g, tw, budget=bounds.budget)
+            other = scan(g, tw)[0]
             report.cases += 1
-            if img2.members != img.members:
+            if other != members:
                 report.record_failure({
                     "check": "image-invariance-under-theta", **where,
                     "theta_images": [render_word(t) for t in theta.images],
                     "theta_word": render_word(tw),
-                    "members_w": list(img.member_indices),
-                    "members_theta_w": list(img2.member_indices),
+                    "members_w": _indices(members),
+                    "members_theta_w": _indices(other),
                 })
-        for zi, zeta in enumerate(autos):
-            report.cases += 1
-            if map_set(zeta, img.members) != img.members:
-                report.record_failure({
-                    "check": "image-invariance-under-zeta", **where,
-                    "zeta_index": zi, "zeta_images": list(zeta.images),
-                    "members_w": list(img.member_indices),
-                })
+        failing = moved.get((g, members))
+        if failing is None:
+            failing = moved[g, members] = [
+                zi for zi, zeta in enumerate(autos)
+                if map_set(zeta, members) != members]
+        report.cases += len(autos)
+        for zi in failing:
+            report.record_failure({
+                "check": "image-invariance-under-zeta", **where,
+                "zeta_index": zi, "zeta_images": list(autos[zi].images),
+                "members_w": _indices(members),
+            })
     return check
 
 
-def _thm1(bounds: Bounds, words: Sequence[Word]) -> Check:
+def _thm1(bounds: Bounds, words: Sequence[Word], scan: _Scans) -> Check:
     """G_{gamma(w)} = G_{w^-1} for sampled gamma in AA(F_d), hence
     chirality and word gamma-chirality verdicts coincide."""
-    samples = {w: [(theta, apply_anti(w, FreeAntiAuto(theta))) for theta in
-                   _sampled_autos(bounds, "thm1-gamma", w,
-                                  bounds.gamma_samples)]
-               for w in words}
+    samples = {w: (invert(w), [
+        (theta, apply_anti(w, FreeAntiAuto(theta))) for theta in
+        _sampled_autos(bounds, "thm1-gamma", w, bounds.gamma_samples)])
+        for w in words}
 
     def check(report, where, g, w):
-        inv_img = image(g, invert(w), budget=bounds.budget)
-        for theta, gw in samples[w]:
-            img = image(g, gw, budget=bounds.budget)
+        inverse, sampled = samples[w]
+        inverted = scan(g, inverse)[0]
+        for theta, gw in sampled:
+            members = scan(g, gw)[0]
             report.cases += 1
-            if img.members != inv_img.members:
+            if members != inverted:
                 report.record_failure({
                     "check": "image-of-gamma-w-equals-image-of-w-inverse", **where,
                     "theta_images": [render_word(t) for t in theta.images],
                     "gamma_word": render_word(gw),
-                    "members_gamma_w": list(img.member_indices),
-                    "members_w_inverse": list(inv_img.member_indices),
+                    "members_gamma_w": _indices(members),
+                    "members_w_inverse": _indices(inverted),
                 })
     return check
 
 
-def _thm2(bounds: Bounds, words: Sequence[Word]) -> Check:
+def _thm2(bounds: Bounds, words: Sequence[Word], scan: _Scans) -> Check:
     """gamma(G_w) = (G_w)^-1 for every gamma in AA(G), hence group
     gamma-chirality coincides with chirality."""
+    wrong: Dict[tuple, List[int]] = {}  # (g, G_w) -> gammas that fail
+
     def check(report, where, g, w):
         antis = enumerate_anti_automorphisms(g, bounds.auto_cap)
-        img = image(g, w, budget=bounds.budget)
-        inverted = invert_set(g, img.members)
-        for zi, gamma in enumerate(antis):
-            report.cases += 1
-            if map_set(gamma, img.members) != inverted:
-                report.record_failure({
-                    "check": "gamma-image-equals-inverted-image", **where,
-                    "zeta_index": zi, "gamma_images": list(gamma.images),
-                    "members_w": list(img.member_indices),
-                })
+        members = scan(g, w)[0]
+        failing = wrong.get((g, members))
+        if failing is None:
+            inverted = invert_set(g, members)
+            failing = wrong[g, members] = [
+                zi for zi, gamma in enumerate(antis)
+                if map_set(gamma, members) != inverted]
+        report.cases += len(antis)
+        for zi in failing:
+            report.record_failure({
+                "check": "gamma-image-equals-inverted-image", **where,
+                "zeta_index": zi, "gamma_images": list(antis[zi].images),
+                "members_w": _indices(members),
+            })
     return check
 
 
-def _remark(bounds: Bounds, words: Sequence[Word]) -> Check:
+def _twists(g: FiniteGroup, gammas: Sequence[GroupMap],
+            counts: Sequence[int], direct: Sequence[int]) -> tuple:
+    """The Remark's checks of one pair's fibers over AA(G): the failing
+    (gamma index, twisted direct counts, predicted counts), and each
+    gamma's weak verdict."""
+    # A list, as `predicted` is: a list never equals a tuple.
+    counts = list(counts)
+    failing, verdicts = [], []
+    for zi, gamma in enumerate(gammas):
+        # gamma is a bijection, so each entry is assigned exactly once:
+        # the scatter twisted[gamma(v)] += direct[v], at C speed.
+        twisted = [0] * g.order
+        deque(map(twisted.__setitem__, gamma.images, direct), 0)
+        predicted = list(map(counts.__getitem__, gamma.inverse_images))
+        if twisted != predicted:
+            failing.append((zi, twisted, predicted))
+        # Some N_w(x) != N_w(gamma^-1(x)): w is weakly gamma-chiral.
+        verdicts.append(predicted != counts)
+    return failing, verdicts
+
+
+def _remark(bounds: Bounds, words: Sequence[Word], scan: _Scans) -> Check:
     """The weak-chirality verdict is identical across all gamma in AA(G),
     and counts_{w_gamma}[x] = counts_w[gamma^-1(x)] matches direct twisted
     enumeration."""
+    twists: Dict[tuple, tuple] = {}  # (g, N_w, direct N_w) -> `_twists`
+
     def check(report, where, g, w):
         gammas = enumerate_anti_automorphisms(g, bounds.auto_cap)
-        # A list, as `predicted` is: a list never equals a tuple.
-        counts = list(image(g, w, want_fibers=True,
-                            budget=bounds.budget)[1].counts)
-        # One direct evaluation pass, shared by every gamma's twisted count.
+        counts = scan(g, w)[1]
+        # One direct evaluation pass per pair, the oracle for the scan.
         direct = naive_image(g, w, budget=bounds.budget)[1].counts
-        verdicts = []
-        for zi, gamma in enumerate(gammas):
-            # gamma is a bijection, so each entry is assigned exactly once:
-            # the scatter twisted[gamma(v)] += direct[v], at C speed.
-            twisted = [0] * g.order
-            deque(map(twisted.__setitem__, gamma.images, direct), 0)
-            predicted = list(map(counts.__getitem__, gamma.inverse_images))
-            report.cases += 1
-            if twisted != predicted:
-                report.record_failure({
-                    "check": "twisted-fiber-identity", **where,
-                    "zeta_index": zi, "gamma_images": list(gamma.images),
-                    "direct_counts": twisted,
-                    "predicted_counts": predicted,
-                })
-            # Some N_w(x) != N_w(gamma^-1(x)): w is weakly gamma-chiral.
-            verdicts.append(predicted != counts)
+        found = twists.get((g, counts, direct))
+        if found is None:
+            found = twists[g, counts, direct] = _twists(g, gammas, counts,
+                                                        direct)
+        failing, verdicts = found
+        report.cases += len(gammas)
+        for zi, twisted, predicted in failing:
+            report.record_failure({
+                "check": "twisted-fiber-identity", **where,
+                "zeta_index": zi, "gamma_images": list(gammas[zi].images),
+                "direct_counts": list(twisted),
+                "predicted_counts": list(predicted),
+            })
         report.cases += 1
         if len(set(verdicts)) > 1:
             report.record_failure({
                 "check": "weak-verdict-gamma-independence", **where,
-                "verdicts": verdicts,
+                "verdicts": list(verdicts),
             })
     return check
 
@@ -276,12 +340,12 @@ _SUITES = {
 }
 
 
-def _drive(name: str, bounds: Bounds,
-           words: Sequence[Word]) -> VerificationReport:
+def _drive(name: str, bounds: Bounds, words: Sequence[Word],
+           scan: _Scans) -> VerificationReport:
     """One suite's pass over the catalog, checking every (group, word)."""
     report = VerificationReport(name, bounds)
     start = time.perf_counter()
-    check = _SUITES[name](bounds, words)
+    check = _SUITES[name](bounds, words, scan)
     texts = [render_word(w) for w in words]
     for spec, g in catalog_groups(bounds.max_order, bounds.families):
         for w, text in zip(words, texts):
@@ -299,12 +363,14 @@ def run_suite(name: str, bounds: Bounds) -> VerificationReport:
         raise ValueError(f"unknown suite {name!r}; "
                          f"choose from {sorted(_SUITES)} or 'all'")
     return _drive(name, bounds,
-                  canonical_words(bounds.rank, bounds.max_word_len))
+                  canonical_words(bounds.rank, bounds.max_word_len),
+                  _Scans(bounds.budget))
 
 
 def run_all(bounds: Bounds) -> List[VerificationReport]:
     words = canonical_words(bounds.rank, bounds.max_word_len)
-    return [_drive(name, bounds, words) for name in _SUITES]
+    scan = _Scans(bounds.budget)
+    return [_drive(name, bounds, words, scan) for name in _SUITES]
 
 
 def summarize(reports: Sequence[VerificationReport]) -> dict:

@@ -21,6 +21,11 @@ MAX_EXPANSION = 1 << 20
 # Most digits of a generator index or exponent: the least limit the
 # interpreter's int/str conversion can be set to, so int() never refuses one.
 MAX_DIGITS = 640
+# Most letters, summed over every reduced word of the rank and lengths it
+# covers, that `canonical_words` walks before it refuses. Rank 2 to length
+# 10 is 1,121,932 letters and gives 7,566 words in about 85 ms; rank 2 to
+# length 11 (3,720,088) and rank 1 past length 1,447 are refused.
+MAX_WALK_LETTERS = 1 << 21
 # Indices and exponents are ASCII digits only: str.isdigit() also accepts
 # characters such as '²' that int() refuses.
 DIGITS = "0123456789"
@@ -368,45 +373,6 @@ def _word_from_indices(indices: Sequence[int], rank: int) -> Word:
                              for i in indices], rank)
 
 
-def _reduced_sequences(rank: int, length: int,
-                       normal: bool) -> Iterator[Tuple[int, ...]]:
-    """Letter indices of every reduced word of one length, in lex order.
-
-    With `normal`, only the words in normal form (`_normal_form`): each
-    generator first appears as the next unused x_k, with exponent +1.
-    """
-    seq: list[int] = []
-    top = 2 * rank
-
-    def rec(remaining: int, fresh: int) -> Iterator[Tuple[int, ...]]:
-        # Letters below 2*fresh belong to generators already used, and
-        # 2*fresh is the next unused generator, positive.
-        if remaining == 0:
-            yield tuple(seq)
-            return
-        for letter in range(min(2 * fresh + 1, top) if normal else top):
-            if seq and seq[-1] ^ 1 == letter:
-                continue  # would cancel with the previous letter
-            seq.append(letter)
-            yield from rec(remaining - 1, max(fresh, letter // 2 + 1))
-            seq.pop()
-
-    return rec(length, 0)
-
-
-def enumerate_words(rank: int, max_len: int) -> Iterator[Word]:
-    """All reduced words of length <= max_len, once each, length-lex order.
-
-    Within a length, words are ordered lexicographically by letters under
-    x1 < x1^-1 < x2 < x2^-1 < ...
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    for length in range(max_len + 1):
-        for indices in _reduced_sequences(rank, length, normal=False):
-            yield _word_from_indices(indices, rank)
-
-
 def _normal_form(indices: Sequence[int]) -> Tuple[int, ...]:
     """The least image of a word's letters under signed generator
     permutations: generators relabelled x1, x2, ... in order of first
@@ -448,14 +414,39 @@ def canonical_form(w: Word) -> Word:
 
 def canonical_words(rank: int, max_len: int) -> list[Word]:
     """Canonical orbit representatives, the words w == canonical_form(w) of
-    length <= max_len, in `enumerate_words` order.
+    length <= max_len, by length and then by letters under
+    x1 < x1^-1 < x2 < x2^-1 < ...
 
-    Only words in normal form are built, and one is kept when it is no
-    larger than the normal form of its inverse.
+    Only words in normal form (`_normal_form`) are built, one length at a
+    time, and one is kept when it is no larger than the normal form of its
+    inverse. Raises ValueError, before any word is built, for a negative
+    length or rank, and when the reduced words, 2d(2d-1)^(L-1) of each
+    length L, have more than MAX_WALK_LETTERS letters in all.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    return [_word_from_indices(indices, rank)
-            for length in range(max_len + 1)
-            for indices in _reduced_sequences(rank, length, normal=True)
-            if indices <= _normal_form(_inverse_indices(indices))]
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
+    letters, count = 0, 2 * rank
+    for length in range(1, max_len + 1):
+        letters += length * count
+        if letters > MAX_WALK_LETTERS:
+            raise ValueError(
+                f"the reduced words of rank {rank} and length <= {max_len} "
+                f"have more than {MAX_WALK_LETTERS} letters; lower "
+                "--max-len or --rank")
+        count *= 2 * rank - 1
+    words: list[Word] = []
+    # The reduced words of one length in normal form, in order, each with
+    # the number of generators it reads: its letters below 2*used are
+    # theirs, and 2*used is the next unused generator, positive.
+    level: list[Tuple[Tuple[int, ...], int]] = [((), 0)]
+    for length in range(max_len + 1):
+        if length:
+            level = [(seq + (letter,), max(used, letter // 2 + 1))
+                     for seq, used in level
+                     for letter in range(min(2 * used + 1, 2 * rank))
+                     if not seq or seq[-1] ^ 1 != letter]
+        words += [_word_from_indices(seq, rank) for seq, _ in level
+                  if seq <= _normal_form(_inverse_indices(seq))]
+    return words

@@ -50,6 +50,22 @@ def brute_force_reduced_words(rank: int, max_len: int) -> set:
     return seen
 
 
+def enumerate_words(rank: int, max_len: int):
+    """All reduced words of length <= max_len, once each, by length and
+    then by letters under x1 < x1^-1 < x2 < x2^-1 < ..."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    level = [()]  # letter 2(i - 1) is x_i, letter 2(i - 1) + 1 is x_i^-1
+    for length in range(max_len + 1):
+        if length:
+            level = [seq + (letter,) for seq in level
+                     for letter in range(2 * rank)
+                     if not seq or seq[-1] ^ 1 != letter]
+        for seq in level:
+            yield reduce_syllables([(i // 2 + 1, -1 if i % 2 else 1)
+                                    for i in seq], rank)
+
+
 def metacyclic_c7_c9():
     """C7:C9 from (i, j)(k, l) = (i + k 2^j mod 7, j + l mod 9)."""
     pairs = [(i, j) for j in range(9) for i in range(7)]

@@ -35,7 +35,6 @@ from chiralwords.verify import (
 from chiralwords.words import (
     FreeAntiAuto,
     apply_anti,
-    enumerate_words,
     invert,
     parse_word,
     random_automorphism,
@@ -47,6 +46,7 @@ from conftest import (
     auto_from_anti,
     brute_force_reduced_words,
     concat,
+    enumerate_words,
     metacyclic_c7_c9,
     random_reduced_word,
 )

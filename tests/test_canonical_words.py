@@ -8,16 +8,18 @@ exactly the oracle's fixed points among `enumerate_words`, in order.
 
 import functools
 import itertools
+import time
 
 import pytest
 
 from chiralwords.verify import canonical_words
 from chiralwords.words import (
+    MAX_WALK_LETTERS,
     Word,
     canonical_form,
-    enumerate_words,
     reduce_syllables,
 )
+from conftest import enumerate_words
 
 BOUNDS = {1: 6, 2: 5, 3: 5, 4: 4}
 
@@ -71,3 +73,25 @@ def test_canonical_words_are_the_oracle_fixed_points_in_order(
 def test_negative_max_len_raises():
     with pytest.raises(ValueError, match="max_len must be nonnegative"):
         canonical_words(2, -1)
+
+
+@pytest.mark.parametrize("rank, max_len, count", [
+    (2, 8, 883), (3, 6, 332), (4, 5, 95), (2, 10, 7566)])
+def test_the_walk_bound_admits_the_lists_in_use(rank, max_len, count):
+    assert len(canonical_words(rank, max_len)) == count
+
+
+@pytest.mark.parametrize("rank, max_len", [
+    (2, 11), (1, 1448), (2, 10 ** 9), (1, 10 ** 9), (10 ** 9, 1)])
+def test_the_walk_bound_refuses_before_any_word_is_built(rank, max_len):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=(
+            f"rank {rank} and length <= {max_len} have more than "
+            f"{MAX_WALK_LETTERS} letters; lower --max-len or --rank")):
+        canonical_words(rank, max_len)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_rank_below_1_is_refused_before_the_walk():
+    with pytest.raises(ValueError, match="rank must be positive, got 0"):
+        canonical_words(0, 10 ** 9)

@@ -181,6 +181,22 @@ def test_an_empty_catalog_selection_is_refused(capsys, argv, cause):
     assert err == f"error: the catalog has no group of {cause}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--max-len", "100"],
+    ["search", "--rank", "2", "--max-len", "60", "--max-order", "4"],
+    ["search", "--rank", "1", "--max-len", "2000"],
+], ids=["verify", "search", "search-rank-1"])
+def test_a_word_list_past_the_bound_is_refused_at_once(capsys, argv):
+    # Each used to run until killed; at rank 1 the walk's recursion ended
+    # in a RecursionError traceback.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the reduced words of rank ")
+    assert "lower --max-len" in err
+
+
 def test_search_over_abelian_groups_only_finds_nothing(capsys):
     assert run(capsys, "search", "--max-order", "3") == (0, "", "")
 

@@ -1,9 +1,17 @@
+from collections import Counter
+
 import pytest
 
-from chiralwords import catalog, reports, verify
+from chiralwords import catalog, engine, reports, verify
 from chiralwords.catalog import catalog_specs
-from chiralwords.engine import DEFAULT_BUDGET, FiberDistribution, naive_image
+from chiralwords.engine import (
+    DEFAULT_BUDGET,
+    FiberDistribution,
+    image,
+    naive_image,
+)
 from chiralwords.groups import build_family, parse_group_spec
+from chiralwords.search import replay
 from chiralwords.verify import (
     Bounds,
     canonical_words,
@@ -13,11 +21,14 @@ from chiralwords.verify import (
     summarize,
 )
 from chiralwords.words import (
+    canonical_form,
     identity_word,
     nielsen_generators,
     parse_word,
     substitute,
 )
+
+from conftest import enumerate_words
 
 SMALL = Bounds(max_order=8, max_word_len=3, rank=2,
                theta_samples=3, gamma_samples=3, seed=1)
@@ -52,9 +63,15 @@ def test_canonical_words_are_canonical_and_deduped():
     words = canonical_words(2, 4)
     assert words[0].is_identity
     assert len({w.syllables for w in words}) == len(words)
-    from chiralwords.words import canonical_form, enumerate_words
     orbit_reps = {canonical_form(w).syllables for w in enumerate_words(2, 4)}
     assert {w.syllables for w in words} == orbit_reps
+
+
+def untimed(report):
+    """A report's structured form without its wall time."""
+    doc = report.to_structured()
+    del doc["wall_time_s"]
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +86,7 @@ def test_suites_pass_at_small_bounds(suite, small_run_all):
     assert report.cases > 0
     assert not report.skipped
     # `verify <suite>` gives exactly its part of `verify all`.
-    part = small_run_all[SUITES.index(suite)]
-    assert part.suite == suite
-    assert reports.stable_digest(report.to_structured()) == \
-        reports.stable_digest(part.to_structured())
+    assert untimed(report) == untimed(small_run_all[SUITES.index(suite)])
 
 
 def test_run_all_enumerates_words_once_and_passes_catalog_per_suite(
@@ -207,6 +221,8 @@ def test_skipped_pairs_keep_their_digest(bounds, digest, counts):
     assert [(r.cases, len(r.skipped)) for r in results] == counts
     assert all(r.passed for r in results)
     assert reports.stable_digest(summarize(results)) == digest
+    for suite, part in zip(SUITES, results):
+        assert untimed(run_suite(suite, bounds)) == untimed(part)
 
 
 def test_report_structure():
@@ -270,6 +286,16 @@ def identity_flipped(original):
     return corrupted
 
 
+def one_more_at_1(original):
+    """naive_image with one more tuple counted at element 1."""
+    def perturbed(g, w, **kwargs):
+        img, fibers = original(g, w, **kwargs)
+        counts = list(fibers.counts)
+        counts[1] += 1
+        return img, FiberDistribution(g, w, tuple(counts))
+    return perturbed
+
+
 def test_lemma1_fails_on_a_corrupted_theta_word(monkeypatch):
     monkeypatch.setattr(verify, "substitute", as_identity_word)
     for record in failures_named("lemma1", "image-invariance-under-theta"):
@@ -298,15 +324,8 @@ def test_thm2_fails_on_a_corrupted_map_set(monkeypatch):
 
 
 def test_remark_fails_on_a_perturbed_direct_count(monkeypatch):
-    original = verify.naive_image
-
-    def perturbed(g, w, **kwargs):
-        img, fibers = original(g, w, **kwargs)
-        counts = list(fibers.counts)
-        counts[1] += 1
-        return img, FiberDistribution(g, w, tuple(counts))
-
-    monkeypatch.setattr(verify, "naive_image", perturbed)
+    monkeypatch.setattr(verify, "naive_image",
+                        one_more_at_1(verify.naive_image))
     found = failures_named("remark", "twisted-fiber-identity")
     for record in found:
         # Only gamma(1) is off, by the one added tuple.
@@ -334,3 +353,99 @@ def test_remark_fails_on_fibers_that_are_not_aut_invariant(monkeypatch):
     for record in failures_named("remark", "weak-verdict-gamma-independence"):
         assert set(record["verdicts"]) == {False, True}
     failures_named("remark", "twisted-fiber-identity")
+
+
+# --- one scan and one Aut(G) pass per distinct input per run ----------------
+
+def test_run_all_scans_and_checks_each_distinct_input_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("image", "map_set", "naive_image"):
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    run_all(Bounds())
+    # One scan per (group, cyclic reduction) and one map_set per zeta or
+    # gamma of each (group, G_w); each pass checked them per pair before,
+    # 11,628 and 29,016 times. naive_image, the oracle, runs once per pair:
+    # 36 groups x 17 words.
+    assert calls == {"image": 5100, "map_set": 4566, "naive_image": 612}
+
+
+# Each fault fails every zeta or gamma of every pair, 6 of them on D4, D6 and
+# S3, and x1 and x1*x2 have one G_w on each group. (suite, patched name,
+# fault, cases, digest): the cases and digest of each fault run before the
+# suites shared their scans and Aut(G) passes.
+PARITY_BOUNDS = Bounds(max_order=6, max_word_len=2, theta_samples=1,
+                       gamma_samples=1, families=("S", "D"))
+PARITY_RUNS = [
+    ("lemma1", "map_set", identity_flipped, 84,
+     "81f2aa95c901fb2e934130ea21d63a4c53931dc5ed37a00b66b4c420fecac0b1"),
+    ("thm2", "map_set", identity_flipped, 72,
+     "6f2241e8c94d57a4a2aea59b6da6fcf30036509f4f228b065a394f740235b52c"),
+    ("remark", "naive_image", one_more_at_1, 84,
+     "9faa9bd9195bbe39b4397b824444a4d213153ba64bd8302af1e30e27e3ff9d12"),
+]
+
+
+@pytest.mark.parametrize("suite, name, fault, cases, digest", PARITY_RUNS,
+                         ids=[run[0] for run in PARITY_RUNS])
+def test_each_pair_keeps_its_failure_records(monkeypatch, suite, name, fault,
+                                             cases, digest):
+    s3 = parse_group_spec("S3")
+    assert (image(s3, parse_word("x1", 2)).members
+            == image(s3, parse_word("x1*x2", 2)).members)
+    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    alone = run_suite(suite, PARITY_BOUNDS)
+    part = run_all(PARITY_BOUNDS)[SUITES.index(suite)]
+    for report in (alone, part):
+        assert report.cases == cases
+        assert len(report.failures) < verify.MAX_RECORDED_FAILURES
+        assert Counter((f["group"], f["word"]) for f in report.failures) == {
+            (g, w): 6 for g in ("D4", "D6", "S3")
+            for w in ("e", "x1", "x1^2", "x1*x2")}
+        assert reports.stable_digest(report.to_structured()) == digest
+
+
+def test_scans_do_not_outlive_their_run(monkeypatch):
+    scanned = []
+    original = engine._fiber_counts
+
+    def counted(g, w, budget):
+        scanned.append((g.name, w))
+        return original(g, w, budget)
+
+    monkeypatch.setattr(engine, "_fiber_counts", counted)
+    bounds = Bounds(max_order=6, max_word_len=2, theta_samples=1,
+                    gamma_samples=1)
+    run_all(bounds)
+    first = len(scanned)
+    run_all(bounds)
+    assert first and len(scanned) == 2 * first
+    w = parse_word("x1*x2", 2)
+    assert ("S3", w) in scanned
+    del scanned[:]
+    engine.image(parse_group_spec("S3"), w)
+    assert replay({"group": "S3", "word": "x1*x2", "arity": 2,
+                   "chiral": False}) == (True, [])
+    assert scanned == [("S3", w)] * 2
+
+
+def test_a_wrong_oracle_on_one_word_fails_that_word_only(monkeypatch):
+    # x1 and x1*x2 have equal fiber counts on each group here, so only the
+    # oracle's counts tell their pairs apart.
+    original = verify.naive_image
+    perturbed = one_more_at_1(original)
+
+    def wrong_on_x1_x2(g, w, **kwargs):
+        return (perturbed if w == parse_word("x1*x2", 2) else original)(
+            g, w, **kwargs)
+
+    monkeypatch.setattr(verify, "naive_image", wrong_on_x1_x2)
+    report = run_suite("remark", PARITY_BOUNDS)
+    assert Counter((f["group"], f["word"]) for f in report.failures) == {
+        (g, "x1*x2"): 6 for g in ("D4", "D6", "S3")}

@@ -11,7 +11,6 @@ from chiralwords.words import (
     apply_anti,
     canonical_form,
     compose,
-    enumerate_words,
     identity_endo,
     identity_word,
     invert,
@@ -23,7 +22,12 @@ from chiralwords.words import (
     substitute,
 )
 
-from conftest import brute_force_reduced_words, concat, random_reduced_word
+from conftest import (
+    brute_force_reduced_words,
+    concat,
+    enumerate_words,
+    random_reduced_word,
+)
 
 
 def inversion_anti(rank: int) -> FreeAntiAuto:
