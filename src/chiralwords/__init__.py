@@ -36,11 +36,9 @@ from .words import (
     WordSyntaxError,
     apply_anti,
     canonical_form,
-    compose,
     identity_endo,
     identity_word,
     invert,
-    nielsen_generators,
     parse_word,
     random_automorphism,
     reduce_syllables,

@@ -376,62 +376,30 @@ def _check_order_cap(what: str, n: int) -> None:
             f"{what}: order {n} exceeds cap {DEFAULT_ORDER_CAP}")
 
 
-def cyclic_group(n: int) -> FiniteGroup:
-    if n < 1:
-        raise GroupSpecError(f"C{n}: order must be >= 1")
-    _check_order_cap(f"C{n}", n)
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return _build_group(f"C{n}", table, [str(i) for i in range(n)])
+def _holder_table(m: int, n: int, r: int, s: int) -> List[List[int]]:
+    """The table of Hölder's <a, b | a^m, b^n = a^s, b a b^-1 = a^r>, with
+    b^j a^i at index j*m + i: (b^j a^i)(b^l a^k) = b^(j+l) a^(i r^-l + k),
+    and b^(j+l) = b^(j+l-n) a^s when j + l >= n. The caller passes
+    admissible parameters: gcd(r, m) = 1, r^n = 1 and s(r - 1) = 0 mod m."""
+    unturn = [pow(r, -l, m) for l in range(n)]
+    table = []
+    for j in range(n):
+        for i in range(m):
+            row: List[int] = []
+            for l in range(n):  # the block b^(j+l) a^(c + k), k = 0..m-1
+                c = (i * unturn[l] + (s if j + l >= n else 0)) % m
+                base = (j + l) % n * m
+                row += range(base + c, base + m)
+                row += range(base, base + c)
+            table.append(row)
+    return table
 
 
-def dihedral_group(n: int) -> FiniteGroup:
-    """Dihedral group of ORDER n (even n >= 4); D6 is isomorphic to S3.
-
-    Elements are rotations r^0..r^(m-1) followed by reflections s*r^0..,
-    where m = n/2.
-    """
-    if n < 4 or n % 2:
-        raise GroupSpecError(f"D{n}: order must be even and >= 4")
-    _check_order_cap(f"D{n}", n)
-    m = n // 2
-
-    def mul(a: int, b: int) -> int:
-        f1, k1 = divmod(a, m)
-        f2, k2 = divmod(b, m)
-        k = (k1 * (-1 if f2 else 1) + k2) % m
-        return ((f1 + f2) % 2) * m + k
-
-    table = [[mul(a, b) for b in range(n)] for a in range(n)]
-    labels = [f"r{k}" for k in range(m)] + [f"sr{k}" for k in range(m)]
-    return _build_group(f"D{n}", table, labels)
-
-
-_Q8_UNIT_MUL = {
-    # (u1, u2) -> (sign, unit) over units e,i,j,k
-    (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-    (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-    (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-    (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-}
-
-
-def quaternion_group() -> FiniteGroup:
-    """Q8 with element order 1, -1, i, -i, j, -j, k, -k."""
-    def unpack(a: int) -> Tuple[int, int]:
-        return (1 if a % 2 == 0 else -1), a // 2
-
-    def pack(sign: int, unit: int) -> int:
-        return unit * 2 + (0 if sign == 1 else 1)
-
-    def mul(a: int, b: int) -> int:
-        sa, ua = unpack(a)
-        sb, ub = unpack(b)
-        s, u = _Q8_UNIT_MUL[(ua, ub)]
-        return pack(sa * sb * s, u)
-
-    table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return _build_group("Q8", table, labels)
+def _relabel(table: Sequence[Sequence[int]],
+             old: Sequence[int]) -> List[List[int]]:
+    """The table with element old[k] renamed k."""
+    new = {x: k for k, x in enumerate(old)}
+    return [[new[table[a][b]] for b in old] for a in old]
 
 
 def _cycles(p: Tuple[int, ...]) -> List[List[int]]:
@@ -483,10 +451,17 @@ MAX_SPEC_DIGITS = 9
 
 
 def build_family(spec: str) -> FiniteGroup:
-    """Build a named family group: C<n>, D<n> (n = order), Q8, S<n>, A<n>."""
+    """Build a named family group: C<n>, D<n> (n = order), Q8, S<n>, A<n>.
+
+    C<n> is Hölder's (n, 1, 1, 0) and D<n> is (n/2, 2, n/2 - 1, 0), with
+    rotations r<k> before reflections sr<k>. Q8 is (4, 2, 3, 2) with a = i
+    and b = j, relabelled to the element order 1, -1, i, -i, j, -j, k, -k.
+    """
     spec = spec.strip()
     if spec == "Q8":
-        return quaternion_group()
+        return _build_group("Q8", _relabel(_holder_table(4, 2, 3, 2),
+                                           (0, 2, 1, 3, 4, 6, 7, 5)),
+                            ["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
     m = _FAMILY_RE.match(spec)
     if not m:
         raise GroupSpecError(f"unknown group family spec {spec!r}")
@@ -495,13 +470,23 @@ def build_family(spec: str) -> FiniteGroup:
         raise GroupSpecError(f"{family}<n>: n has {len(digits)} digits, "
                              f"more than {MAX_SPEC_DIGITS}")
     n = int(digits)
-    if family == "C":
-        return cyclic_group(n)
-    if family == "D":
-        return dihedral_group(n)
     if family == "S":
         return symmetric_group(n)
-    return alternating_group(n)
+    if family == "A":
+        return alternating_group(n)
+    if family == "C":
+        if n < 1:
+            raise GroupSpecError(f"C{n}: order must be >= 1")
+        _check_order_cap(f"C{n}", n)
+        return _build_group(f"C{n}", _holder_table(n, 1, 1, 0),
+                            [str(i) for i in range(n)])
+    if n < 4 or n % 2:
+        raise GroupSpecError(f"D{n}: order must be even and >= 4")
+    _check_order_cap(f"D{n}", n)
+    half = n // 2
+    return _build_group(f"D{n}", _holder_table(half, 2, half - 1, 0),
+                        [f"r{k}" for k in range(half)]
+                        + [f"sr{k}" for k in range(half)])
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -558,10 +543,9 @@ def from_cayley_document(doc: dict) -> FiniteGroup:
     identity = find_identity(table)
     assert identity is not None
     if identity != 0:
-        old_order = [identity] + [a for a in range(order) if a != identity]
-        new_index = {old: new for new, old in enumerate(old_order)}
-        table = [[new_index[table[a][b]] for b in old_order] for a in old_order]
-        labels = [labels[a] for a in old_order]
+        old = [identity] + [a for a in range(order) if a != identity]
+        table = _relabel(table, old)
+        labels = [labels[a] for a in old]
     return _build_group(name, table, labels)
 
 
@@ -756,9 +740,6 @@ class GroupMap:
 
     def __hash__(self) -> int:
         return hash((self.group, self.images, self.kind))
-
-    def __call__(self, a: int) -> int:
-        return self.images[a]
 
     @_fact
     def inverse_images(self) -> Tuple[int, ...]:

@@ -258,72 +258,34 @@ def substitute(w: Word, e: FreeGroupEndo) -> Word:
     return reduce_syllables(out, w.rank)
 
 
-def compose(e1: FreeGroupEndo, e2: FreeGroupEndo) -> FreeGroupEndo:
-    """(e1 . e2)(x) = e1 applied to e2's image of x.
-
-    Hence substitute(w, compose(e1, e2)) == substitute(substitute(w, e2), e1).
-    """
-    if e1.rank != e2.rank:
-        raise ValueError("rank mismatch")
-    images = tuple(substitute(img, e1) for img in e2.images)
-    inv_images = None
-    if e1.inverse_images is not None and e2.inverse_images is not None:
-        e2_inv = e2.inverse()
-        inv_images = tuple(substitute(img, e2_inv) for img in e1.inverse_images)
-    return FreeGroupEndo(e1.rank, images, inv_images)
-
-
-def nielsen_generators(rank: int) -> list[FreeGroupEndo]:
-    """The standard Nielsen generating set of Aut(F_rank).
-
-    Adjacent generator swaps, inversion of x1, and (for rank >= 2) the
-    transvection x1 -> x1*x2. Each carries its inverse images.
-    """
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    gens: list[FreeGroupEndo] = []
-    base = identity_endo(rank)
-    for i in range(1, rank):
-        images = list(base.images)
-        images[i - 1], images[i] = images[i], images[i - 1]
-        swapped = tuple(images)
-        gens.append(FreeGroupEndo(rank, swapped, swapped))
-    inverted = (Word(rank, ((1, -1),)),) + base.images[1:]
-    gens.append(FreeGroupEndo(rank, inverted, inverted))
-    if rank >= 2:
-        fwd = list(base.images)
-        fwd[0] = Word(rank, ((1, 1), (2, 1)))
-        bwd = list(base.images)
-        bwd[0] = Word(rank, ((1, 1), (2, -1)))
-        gens.append(FreeGroupEndo(rank, tuple(fwd), tuple(bwd)))
-    return gens
-
-
 def random_automorphism(rank: int, length: int, seed: int) -> FreeGroupEndo:
-    """Compose `length` Nielsen generators chosen by a seeded RNG.
+    """Compose `length` Nielsen moves drawn by a seeded RNG from, in order,
+    the rank - 1 adjacent swaps, the inversion x1 -> x1^-1 and (rank >= 2)
+    the transvection x1 -> x1 x2; the result carries its inverse images.
 
-    Equal, refusals included, to folding `compose` over the drawn
-    `nielsen_generators`, but each move changes only what it must of the
-    images and inverse images. Every image has at most MAX_EXPANSION
-    syllables and every inverse image at most MAX_EXPANSION letters: each
-    was checked when a transvection's `substitute` built it (substituting
-    x1 x2^-1 for x1 gives no more letters than the size it checks), and a
-    swap or an inversion keeps both counts. For a swap or an inversion,
-    `compose` checks exactly those sizes (the images' syllables, and the
-    inverse images' letters, as each letter becomes one syllable), so its
-    checks cannot fail and are skipped. A transvection runs them, through
-    `substitute`, in `compose`'s order.
+    Equal, refusals included, to folding composition over the drawn moves,
+    but each move changes only what it must of the images and inverse images.
+    Every image has at most MAX_EXPANSION syllables and every inverse image
+    at most MAX_EXPANSION letters: each was checked when a transvection's
+    `substitute` built it (substituting x1 x2^-1 for x1 gives no more
+    letters than the size it checks), and a swap or an inversion keeps both
+    counts. The fold's checks of a swap or an inversion are exactly those
+    sizes (the images' syllables, and the inverse images' letters, as each
+    letter becomes one syllable), so they cannot fail and are skipped. A
+    transvection runs them, through `substitute`, in the fold's order.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
+    if rank < 1:
+        raise ValueError("rank must be positive")
     rng = random.Random(seed)
-    # rank - 1 swaps, the inversion, then (rank >= 2) the transvection;
-    # drawing an index draws as `rng.choice(gens)` does.
-    gens = nielsen_generators(rank)
-    moves = range(len(gens))
-    product, back = gens[-1].images[0], gens[-1].inverse()
+    moves = range(rank + (rank >= 2))
     images = list(identity_endo(rank).images)
     inverses = images[:]
+    if rank >= 2:
+        product = Word(rank, ((1, 1), (2, 1)))
+        back = FreeGroupEndo(rank, (Word(rank, ((1, 1), (2, -1))),)
+                             + tuple(images[1:]))
     for _ in range(length):
         move = rng.choice(moves)
         if move < rank - 1:  # swap x_a and x_b: relabel the inverses

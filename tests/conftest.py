@@ -10,7 +10,13 @@ from chiralwords.groups import (
     GroupMap,
     from_cayley_document,
 )
-from chiralwords.words import Word, reduce_syllables
+from chiralwords.words import (
+    FreeGroupEndo,
+    Word,
+    identity_endo,
+    reduce_syllables,
+    substitute,
+)
 
 
 def random_reduced_word(rng: random.Random, rank: int, max_len: int) -> Word:
@@ -64,6 +70,49 @@ def enumerate_words(rank: int, max_len: int):
         for seq in level:
             yield reduce_syllables([(i // 2 + 1, -1 if i % 2 else 1)
                                     for i in seq], rank)
+
+
+def compose(e1: FreeGroupEndo, e2: FreeGroupEndo) -> FreeGroupEndo:
+    """(e1 . e2)(x) = e1 applied to e2's image of x. Folded over the
+    Nielsen moves `random_automorphism` draws, it is that function's oracle.
+
+    Hence substitute(w, compose(e1, e2)) == substitute(substitute(w, e2), e1).
+    """
+    if e1.rank != e2.rank:
+        raise ValueError("rank mismatch")
+    images = tuple(substitute(img, e1) for img in e2.images)
+    inv_images = None
+    if e1.inverse_images is not None and e2.inverse_images is not None:
+        e2_inv = e2.inverse()
+        inv_images = tuple(substitute(img, e2_inv) for img in e1.inverse_images)
+    return FreeGroupEndo(e1.rank, images, inv_images)
+
+
+def nielsen_generators(rank: int) -> list[FreeGroupEndo]:
+    """The standard Nielsen generating set of Aut(F_rank), in the order
+    `random_automorphism` draws its moves.
+
+    Adjacent generator swaps, inversion of x1, and (for rank >= 2) the
+    transvection x1 -> x1*x2. Each carries its inverse images.
+    """
+    if rank < 1:
+        raise ValueError("rank must be positive")
+    gens: list[FreeGroupEndo] = []
+    base = identity_endo(rank)
+    for i in range(1, rank):
+        images = list(base.images)
+        images[i - 1], images[i] = images[i], images[i - 1]
+        swapped = tuple(images)
+        gens.append(FreeGroupEndo(rank, swapped, swapped))
+    inverted = (Word(rank, ((1, -1),)),) + base.images[1:]
+    gens.append(FreeGroupEndo(rank, inverted, inverted))
+    if rank >= 2:
+        fwd = list(base.images)
+        fwd[0] = Word(rank, ((1, 1), (2, 1)))
+        bwd = list(base.images)
+        bwd[0] = Word(rank, ((1, 1), (2, -1)))
+        gens.append(FreeGroupEndo(rank, tuple(fwd), tuple(bwd)))
+    return gens
 
 
 def metacyclic_c7_c9():

@@ -231,7 +231,8 @@ def candidate_maps(draw):
             y = draw(st.sampled_from(sorted(set(g.elements()) - cyclic)))
             fc, anti = images[c], real.kind == ANTI_AUTOMORPHISM
             for z in {g.mul(y, k) for k in cyclic}:
-                images[z] = g.mul(fc, real(z)) if anti else g.mul(real(z), fc)
+                fz = real.images[z]
+                images[z] = g.mul(fc, fz) if anti else g.mul(fz, fc)
         images = tuple(images)
     kind = draw(st.sampled_from([AUTOMORPHISM, ANTI_AUTOMORPHISM]))
     return g, images, kind

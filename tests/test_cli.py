@@ -209,6 +209,18 @@ def test_verify_refuses_a_negative_sample_count(capsys, flag):
     assert err.startswith("error: " + flag[2:].replace("-", "_"))
 
 
+@pytest.mark.parametrize("flag", ["--theta-samples", "--gamma-samples"])
+def test_verify_refuses_a_sample_count_over_the_cap(capsys, flag):
+    # Refused before any automorphism is sampled: 10^9 samples used to run
+    # until killed.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "all", flag, "1000000000")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err == (f"error: {flag[2:].replace('-', '_')} must be at most "
+                   "1000, got 1000000000\n")
+
+
 @pytest.mark.parametrize("length", ["-1", "65", "1000000000"])
 def test_verify_refuses_a_theta_length_outside_the_cap(capsys, length):
     # Refused before any automorphism is sampled: at rank 1 a length of

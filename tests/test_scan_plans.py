@@ -18,16 +18,19 @@ from chiralwords.catalog import catalog_groups
 from chiralwords.engine import image, naive_image
 from chiralwords.groups import parse_group_spec
 from chiralwords.words import (
-    compose,
     identity_endo,
     invert,
-    nielsen_generators,
     parse_word,
     random_automorphism,
     reduce_syllables,
 )
 
-from conftest import metacyclic_c7_c9, random_reduced_word
+from conftest import (
+    compose,
+    metacyclic_c7_c9,
+    nielsen_generators,
+    random_reduced_word,
+)
 
 
 def conjugate(w, u):

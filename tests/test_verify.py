@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -23,12 +24,11 @@ from chiralwords.verify import (
 from chiralwords.words import (
     canonical_form,
     identity_word,
-    nielsen_generators,
     parse_word,
     substitute,
 )
 
-from conftest import enumerate_words
+from conftest import enumerate_words, nielsen_generators
 
 SMALL = Bounds(max_order=8, max_word_len=3, rank=2,
                theta_samples=3, gamma_samples=3, seed=1)
@@ -141,6 +141,19 @@ def test_bounds_refuse_a_negative_sample_count(name):
     with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
         Bounds(**{name: -1})
     assert getattr(Bounds(**{name: 0}), name) == 0
+
+
+@pytest.mark.parametrize("name", ["theta_samples", "gamma_samples"])
+def test_bounds_refuse_a_sample_count_over_the_cap(name):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=(
+            f"{name} must be at most {verify.MAX_SAMPLES}, got {10 ** 9}")):
+        Bounds(**{name: 10 ** 9})
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match=f"{name} must be at most"):
+        Bounds(**{name: verify.MAX_SAMPLES + 1})
+    for count in (getattr(Bounds, name), verify.MAX_SAMPLES):
+        assert getattr(Bounds(**{name: count}), name) == count
 
 
 @pytest.mark.parametrize("length", [-1, verify.MAX_THETA_LENGTH + 1, 10 ** 9])

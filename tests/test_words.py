@@ -10,11 +10,9 @@ from chiralwords.words import (
     WordSyntaxError,
     apply_anti,
     canonical_form,
-    compose,
     identity_endo,
     identity_word,
     invert,
-    nielsen_generators,
     parse_word,
     random_automorphism,
     reduce_syllables,
@@ -24,8 +22,10 @@ from chiralwords.words import (
 
 from conftest import (
     brute_force_reduced_words,
+    compose,
     concat,
     enumerate_words,
+    nielsen_generators,
     random_reduced_word,
 )
 
