@@ -9,11 +9,11 @@ A x B built by `groups.direct_product` they are the outer product of the
 factors' counts, so only A^d and B^d are scanned, never (A x B)^d.
 Elsewhere they come from one tuple per coset of A^k for an abelian normal
 subgroup A (`_normal_scan`: dihedral groups, Q8). Where a cost estimate
-says that is dearer, a word w = A x_i^e B reading k >= 3 coordinates, x_i
-in one syllable only, convolves the counts of AB, over k - 1 coordinates,
-with the counts of e-th roots (`_eliminate`); the rest come from one first
-coordinate per conjugacy class, weighted by the class size, since fiber
-counts are class functions (`_class_scan`). Both scans skip coordinates
+says that is dearer, a word reading k >= 3 coordinates with a rotation u v,
+u and v reading no generator in common, convolves the counts of u and v
+(`_split`); the rest come from one first coordinate per conjugacy class,
+weighted by the class size, since fiber counts are class functions
+(`_class_scan`). Both scans skip coordinates
 the word does not read and evaluate many tuples per list comprehension,
 from tables kept on the group (`FiniteGroup`). `naive_image` is the
 independent oracle.
@@ -22,7 +22,6 @@ independent oracle.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from itertools import compress, product
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -141,7 +140,7 @@ def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
     on abelian groups and for words reading at most one coordinate, as an
     outer product on direct products, and on the rest from a scan over an
     abelian normal subgroup (`_normal_scan`) where `normal_wins` picks it,
-    else from the word with a generator removed (`_eliminate`) or a
+    else from two blocks of w that share no generator (`_split`) or a
     class-weighted scan (`_class_scan`).
 
     On an abelian group (every conjugacy class a singleton) w(t) is
@@ -170,13 +169,12 @@ def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
     when its scan would be, and it is checked before either scan runs.
     A coordinate the word does not read multiplies every count by |G|.
 
-    Elsewhere, if w reads k >= 3 coordinates, one of them, x_i, in one
-    syllable only, then w = A x_i^e B with A, B free of x_i. With the other
-    coordinates fixed, A y^e B = x has R_e(A^-1 x B^-1) = R_e(x (AB)^-1)
-    solutions y (conjugate by A), for R_e(z) = #{y : y^e = z}, a class
-    function (`root_counts(e)`). So N_w(x) = sum_z N_AB(z) R_e(x z^-1)
-    / |G|, N_AB counted over G^arity (x_i unread) by this same function,
-    once per class of x and over the support of N_AB.
+    Elsewhere, if w reads k >= 3 coordinates and a rotation of w (a
+    conjugate) is u v, no generator read by both, N_w(x) = sum_z N_u(z)
+    N_v(x z^-1) / |G|^arity, once per class of x and over the support of
+    N_u. This same function gives the class functions N_u and N_v over
+    G^arity, each with a factor |G| per coordinate its block leaves unread.
+    The shortest v is taken, then the first; v = x_i^e takes a closed form.
     """
     arity = w.rank
     _check_budget(g, arity, budget)
@@ -193,7 +191,7 @@ def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
     k = len(read)
     if normal_wins(g, k):
         counts = _normal_scan(g, w, read)
-    elif k >= 3 and (counts := _eliminate(g, w, budget)) is not None:
+    elif k >= 3 and (counts := _split(g, w, budget)) is not None:
         return counts
     else:
         counts = _class_scan(g, w, read)
@@ -203,24 +201,36 @@ def _fiber_counts(g: FiniteGroup, w: Word, budget: int) -> List[int]:
     return counts
 
 
-def _eliminate(g: FiniteGroup, w: Word, budget: int) -> Optional[List[int]]:
-    """The counts of w = A x_i^e B, x_i in one syllable only, from those of
-    AB (see `_fiber_counts`); None if every generator repeats."""
-    sylls, n = w.syllables, g.order
-    uses = Counter(gen for gen, _ in sylls)
-    j = next((j for j, (gen, _) in enumerate(sylls) if uses[gen] == 1), None)
-    if j is None:
+def _split(g: FiniteGroup, w: Word, budget: int) -> Optional[List[int]]:
+    """The counts of w from a rotation u v, u and v sharing no generator
+    (see `_fiber_counts`), or None. A block holds all of its generators'
+    syllables when their numbers sum to its size; so then does the rest."""
+    sylls, n, m = w.syllables, g.order, len(w.syllables)
+    gens = [gen for gen, _ in sylls]
+    uses = {gen: gens.count(gen) for gen in set(gens)}
+    limit, start = m // 2 + 1, None  # u or v has at most m // 2 syllables
+    for i in range(m):
+        seen = set()
+        for size in range(1, limit):
+            seen.add(gens[(i + size - 1) % m])
+            if (total := sum(map(uses.__getitem__, seen))) == size:
+                limit, start = size, i
+            if total >= limit:
+                break
+    if start is None:
         return None
-    rest = _fiber_counts(
-        g, reduce_syllables(sylls[:j] + sylls[j + 1:], w.rank), budget)
-    roots = g.root_counts(sylls[j][1])  # R_e
-    weights = list(compress(rest, rest))  # N_AB(z), z in its support
+    end = start + limit
+    rest = _fiber_counts(g, reduce_syllables(
+        sylls[max(0, end - m):start] + sylls[end:], w.rank), budget)
+    block = _fiber_counts(
+        g, reduce_syllables((sylls + sylls)[start:end], w.rank), budget)
+    weights = list(compress(rest, rest))  # N_u(z), z in its support
     inverses = list(compress(g.inverses, rest))  # those z^-1
     counts = [0] * n
     for cls in g.conjugacy_classes:
         row = g.table[cls[0]]  # x z^-1 = row[z^-1]
         value = sum(map(int.__mul__, weights, map(
-            roots.__getitem__, map(row.__getitem__, inverses)))) // n
+            block.__getitem__, map(row.__getitem__, inverses)))) // n ** w.rank
         for x in cls:
             counts[x] = value
     return counts

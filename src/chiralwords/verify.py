@@ -55,6 +55,13 @@ MAX_THETA_LENGTH = 64
 # the count: at the default bounds, 1,000 theta samples take about 2.2 s
 # and 59 MB (CPython 3.11, 2 vCPUs), as do 1,000 gamma samples.
 MAX_SAMPLES = 1000
+# The most automorphisms one suite draws in a run: lemma1 draws
+# theta_samples and thm1 gamma_samples per canonical word, all before its
+# first scan. At the default theta_length 20,000 draws take about 2.5 s
+# and 37 MB (CPython 3.11, 2 vCPUs); MAX_SAMPLES times the 18 words of
+# the default --max-len is let through.
+MAX_DRAWS = 20000
+_DRAWN = {"lemma1": "theta_samples", "thm1": "gamma_samples"}
 
 
 class Bounds:
@@ -366,17 +373,32 @@ def _drive(name: str, bounds: Bounds, words: Sequence[Word],
     return report
 
 
+def _words(bounds: Bounds, names: Sequence[str]) -> List[Word]:
+    """The canonical words of a run of the named suites. A run in which
+    one suite would draw more than MAX_DRAWS automorphisms is refused here,
+    before any is drawn."""
+    words = canonical_words(bounds.rank, bounds.max_word_len)
+    for name, field in _DRAWN.items():
+        draws = len(words) * getattr(bounds, field)
+        if name in names and draws > MAX_DRAWS:
+            raise ValueError(
+                f"{len(words)} words of length <= {bounds.max_word_len} "
+                f"times {field} {getattr(bounds, field)} is {draws} sampled "
+                f"automorphisms, more than {MAX_DRAWS}; lower --max-len or "
+                f"--{field.replace('_', '-')}")
+    return words
+
+
 def run_suite(name: str, bounds: Bounds) -> VerificationReport:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; "
                          f"choose from {sorted(_SUITES)} or 'all'")
-    return _drive(name, bounds,
-                  canonical_words(bounds.rank, bounds.max_word_len),
+    return _drive(name, bounds, _words(bounds, [name]),
                   _Scans(bounds.budget))
 
 
 def run_all(bounds: Bounds) -> List[VerificationReport]:
-    words = canonical_words(bounds.rank, bounds.max_word_len)
+    words = _words(bounds, list(_SUITES))
     scan = _Scans(bounds.budget)
     return [_drive(name, bounds, words, scan) for name in _SUITES]
 

@@ -221,6 +221,20 @@ def test_verify_refuses_a_sample_count_over_the_cap(capsys, flag):
                    "1000, got 1000000000\n")
 
 
+@pytest.mark.parametrize("suite", ["lemma1", "all"])
+def test_verify_refuses_more_sample_draws_than_the_cap(capsys, suite):
+    # Both flags are inside their caps, but 883 words times 1,000 samples
+    # used to run until killed.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", suite, "--max-order", "2",
+                         "--max-len", "8", "--theta-samples", "1000")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err == ("error: 883 words of length <= 8 times theta_samples "
+                   "1000 is 883000 sampled automorphisms, more than 20000; "
+                   "lower --max-len or --theta-samples\n")
+
+
 @pytest.mark.parametrize("length", ["-1", "65", "1000000000"])
 def test_verify_refuses_a_theta_length_outside_the_cap(capsys, length):
     # Refused before any automorphism is sampled: at rank 1 a length of

@@ -16,7 +16,7 @@ import pytest
 from chiralwords import engine
 from chiralwords.catalog import catalog_groups
 from chiralwords.engine import evaluate, naive_image
-from chiralwords.groups import parse_group_spec
+from chiralwords.groups import FiniteGroup, parse_group_spec
 from chiralwords.words import canonical_words, parse_word
 
 # Facts and functions of the fast paths (`engine._fiber_counts` and the
@@ -24,8 +24,10 @@ from chiralwords.words import canonical_words, parse_word
 FAST_PATH_NAMES = {
     "conjugacy_classes", "class_size", "abelian_normal", "factors",
     "is_abelian", "_fiber_counts", "_normal_scan", "_class_scan",
-    "_eliminate", "normal_wins", "image",
+    "_split", "normal_wins", "image",
 }
+# The engine function the fast paths share with the oracle.
+SHARED_NAMES = {"_check_budget"}
 
 
 def per_tuple_counts(g, w):
@@ -88,3 +90,33 @@ def test_the_guard_catches_a_fast_path_read():
                      "    return _fiber_counts(g, w, g.is_abelian)\n")
     assert names_read(tree) & FAST_PATH_NAMES == {"_fiber_counts",
                                                   "is_abelian"}
+
+
+def engine_calls(func) -> set:
+    """The engine functions that func calls by name."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    called = {n.func.id for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    return {name for name in called
+            if inspect.isfunction(getattr(engine, name, None))
+            and getattr(engine, name).__module__ == engine.__name__}
+
+
+def test_every_guarded_name_exists():
+    # A name that no longer exists would keep the guard passing unseen.
+    g = parse_group_spec("S4")
+    assert isinstance(g, FiniteGroup)
+    assert {name for name in FAST_PATH_NAMES | SHARED_NAMES
+            if not hasattr(engine, name) and not hasattr(g, name)} == set()
+
+
+def test_every_engine_function_the_fast_paths_call_is_guarded():
+    reached, todo = set(), ["_fiber_counts"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += engine_calls(getattr(engine, name))
+    assert {"_split", "_normal_scan", "_class_scan", "normal_wins"} <= reached
+    assert reached - SHARED_NAMES <= FAST_PATH_NAMES
+    assert SHARED_NAMES <= engine_calls(engine.naive_image)

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from chiralwords import engine
+from chiralwords import engine, verify
 from chiralwords.catalog import catalog_groups, catalog_specs
 from chiralwords.engine import image, naive_image, pair_verdicts
 from chiralwords.groups import (
@@ -21,7 +21,9 @@ from chiralwords.groups import (
     from_cayley_document,
     parse_group_spec,
 )
-from chiralwords.words import Word, canonical_words, parse_word
+from chiralwords.cli import main
+from chiralwords.verify import Bounds
+from chiralwords.words import Word, canonical_words, parse_word, render_word
 
 from conftest import metacyclic_c7_c9
 
@@ -230,6 +232,56 @@ def test_real_positive_verdicts_on_c7_c9(text, chiral, weakly_chiral, size):
         assert [(r.chiral, r.weak_witness is not None) for r in verdicts] \
             == [(chiral, weakly_chiral)] * 126
     assert v.against(gammas)[0] == inversion
+
+
+@pytest.mark.parametrize("text", [CHIRAL, HIGHLIGHTED])
+def test_real_positives_through_the_cli(text, tmp_path, capsys):
+    g = C7_C9
+    path = tmp_path / "c7_c9.json"
+    path.write_text(json.dumps({"name": g.name, "order": g.order, "table": [
+        list(row) for row in g.table]}))
+    img, fibers = naive_image(g, parse_word(text, 2))
+    members, counts = img.members, list(fibers.counts)
+    flipped = [x for x in img.member_indices if not members[g.inv(x)]]
+    uneven = [x for x in g.elements() if counts[x] != counts[g.inv(x)]]
+    # Each gamma's verdicts, scattered forward through its own images:
+    # gamma(G_w), and N_{w_gamma}(gamma(x)) = N_w(x).
+    chiral, weak = [], []
+    for gamma in enumerate_anti_automorphisms(g):
+        moved, twisted = [False] * g.order, [0] * g.order
+        for x, y in enumerate(gamma.images):
+            moved[y], twisted[y] = members[x], counts[x]
+        chiral.append(tuple(moved) != members)
+        weak.append(twisted != counts)
+    assert len(chiral) == 126
+    for command, key, witness_key, witness, verdicts in (
+            ("chiral", "chiral", "chiral_witness", flipped, chiral),
+            ("weak-chiral", "weakly_chiral", "weak_witness", uneven, weak)):
+        assert main([command, "--group", f"@{path}", "--word", text,
+                     "--format", "structured"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["group"], doc["order"]) == ("C7:C9", 63)
+        assert doc["members"] == list(img.member_indices)
+        assert doc["counts"] == (counts if key == "weakly_chiral" else None)
+        assert doc[key] == bool(witness)
+        assert doc[witness_key] == min(witness, default=None)
+        assert doc["gamma_results"] == [{"gamma_index": i, key: verdict}
+                                        for i, verdict in enumerate(verdicts)]
+        assert doc["all_gammas_agree"] == (set(verdicts) == {doc[key]})
+
+
+def test_theorem_2_and_the_remark_hold_on_the_real_positives():
+    bounds = Bounds()
+    words = [parse_word(CHIRAL, 2), parse_word(HIGHLIGHTED, 2)]
+    scan = verify._Scans(bounds.budget)
+    for name, per_pair in (("thm2", 126), ("remark", 127)):
+        check = verify._SUITES[name](bounds, words, scan)
+        report = verify.VerificationReport(name, bounds)
+        for w in words:
+            before = report.cases
+            check(report, {"group": "C7:C9", "word": render_word(w)}, C7_C9, w)
+            assert report.cases - before == per_pair, name
+        assert report.failures == [], name
 
 
 def test_subgroup_cache_stays_within_its_bound(monkeypatch):

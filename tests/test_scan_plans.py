@@ -108,13 +108,13 @@ def groups_for_conjugates():
 
 @pytest.mark.parametrize("g", groups_for_conjugates(), ids=lambda g: g.name)
 def test_conjugates_match_naive_and_the_word(g, monkeypatch):
-    eliminated = []
+    split = []
 
-    def spy(g, w, budget, eliminate=engine._eliminate):
-        eliminated.append(w)
-        return eliminate(g, w, budget)
+    def spy(g, w, budget, split_counts=engine._split):
+        split.append(w)
+        return split_counts(g, w, budget)
 
-    monkeypatch.setattr(engine, "_eliminate", spy)
+    monkeypatch.setattr(engine, "_split", spy)
     cases = [(text, 2, u) for text in RANK_2 for u in CONJUGATORS]
     cases += [(text, 3, u) for text in RANK_3 for u in CONJUGATORS[:2]]
     for text, rank, u_text in cases:
@@ -124,8 +124,8 @@ def test_conjugates_match_naive_and_the_word(g, monkeypatch):
         fast = image(g, conj, want_fibers=True)
         assert fast == naive_image(g, conj), (text, u_text)
         assert fast[1].counts == image(g, w, want_fibers=True)[1].counts
-    if g.name in ("S4", "A5"):  # the class-scan groups reach `_eliminate`
-        assert eliminated
+    if g.name in ("S4", "A5"):  # the class-scan groups reach `_split`
+        assert split
 
 
 def test_random_conjugates_match_naive(rng):

@@ -156,6 +156,42 @@ def test_bounds_refuse_a_sample_count_over_the_cap(name):
         assert getattr(Bounds(**{name: count}), name) == count
 
 
+@pytest.mark.parametrize("name, suite", [("theta_samples", "lemma1"),
+                                         ("gamma_samples", "thm1")])
+def test_a_run_refuses_more_draws_than_the_cap(name, suite, monkeypatch):
+    # 883 words times 1,000 samples: refused before any automorphism is
+    # drawn, by run_all and by the one suite that draws them.
+    def no_draw(*args):
+        raise AssertionError("sampled before the refusal")
+
+    monkeypatch.setattr(verify, "random_automorphism", no_draw)
+    bounds = Bounds(max_order=2, max_word_len=8,
+                    **{name: verify.MAX_SAMPLES})
+    message = (f"883 words of length <= 8 times {name} 1000 is 883000 "
+               f"sampled automorphisms, more than {verify.MAX_DRAWS}; "
+               f"lower --max-len or --{name.replace('_', '-')}")
+    for run in (run_all, lambda b: run_suite(suite, b)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            run(bounds)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == message
+
+
+def test_the_draw_cap_admits_the_largest_sample_counts_at_the_defaults():
+    bounds = Bounds(theta_samples=verify.MAX_SAMPLES,
+                    gamma_samples=verify.MAX_SAMPLES)
+    words = verify._words(bounds, SUITES)
+    assert len(words) * verify.MAX_SAMPLES == 18000 <= verify.MAX_DRAWS
+    # A suite that draws no automorphisms is not refused for the others'.
+    wide = Bounds(max_order=2, max_word_len=5, theta_samples=1000,
+                  gamma_samples=1000)
+    assert len(verify._words(wide, ["thm2", "remark"])) == 43
+    for suite in ("lemma1", "thm1"):
+        with pytest.raises(ValueError, match="43000 sampled automorphisms"):
+            verify._words(wide, [suite])
+
+
 @pytest.mark.parametrize("length", [-1, verify.MAX_THETA_LENGTH + 1, 10 ** 9])
 def test_bounds_refuse_a_theta_length_outside_the_cap(length):
     with pytest.raises(ValueError, match=(
