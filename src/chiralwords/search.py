@@ -5,11 +5,19 @@ Findings are emitted as line-delimited JSON records in deterministic
 a proven-achiral shape are skipped up front: abelian groups (inversion is
 an automorphism, so images are inversion-closed) and single-generator
 powers ((g^k)^-1 = (g^-1)^k lands in the image).
+
+One call scans each (group, word class) once. Words with equal
+`conjugacy_key` are carried into each other by a signed generator
+permutation and a conjugation, so they have equal fiber counts on every
+group, and every field of a finding but the word text follows from the
+counts, the group and the rank. A table local to the call keeps the first
+finding of each (group spec, key); an orbit-mate gets a copy under its own
+word text. `replay` never reads it: it rescans every record.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import catalog_groups
 from .engine import (
@@ -26,7 +34,13 @@ from .groups import (
     enumerate_anti_automorphisms,
     parse_group_spec,
 )
-from .words import Word, canonical_words, parse_word, render_word
+from .words import (
+    Word,
+    canonical_words,
+    conjugacy_key,
+    parse_word,
+    render_word,
+)
 
 
 # The longest finding record, in bytes, that `replay` reads from one line.
@@ -118,8 +132,8 @@ def search_chiral(rank: int, max_len: int, max_order: int,
                   budget: int = DEFAULT_BUDGET,
                   full: bool = False) -> Iterator[Finding]:
     """Scan canonical words x catalog groups; an iterator of Findings in
-    order. The groups and words are built at the call, so a bad family or
-    length raises before any finding is asked for.
+    order. The groups, words and word keys are built at the call, so a bad
+    family or length raises before any finding is asked for.
 
     Abelian groups and single-generator power words are skipped as proven
     achiral. By default only positive (chiral or weakly chiral) and
@@ -127,10 +141,19 @@ def search_chiral(rank: int, max_len: int, max_order: int,
     """
     groups = [(spec, g) for spec, g in catalog_groups(max_order, families)
               if not g.is_abelian]
-    words = [w for w in canonical_words(rank, max_len)
+    words = [(w, conjugacy_key(w)) for w in canonical_words(rank, max_len)
              if len(w.syllables) > 1]  # not the identity or a power word
-    findings = (_scan_pair(spec, g, w, auto_cap, budget)
-                for w in words for spec, g in groups)
+    table: Dict[tuple, Finding] = {}  # (spec, key) -> first Finding
+
+    def find(spec: str, g: FiniteGroup, w: Word, key: tuple) -> Finding:
+        first = table.get((spec, key))
+        if first is None:
+            return table.setdefault((spec, key), _scan_pair(
+                spec, g, w, auto_cap, budget))
+        return Finding(**{**vars(first), "word_text": render_word(w)})
+
+    findings = (find(spec, g, w, key)
+                for w, key in words for spec, g in groups)
     return (f for f in findings
             if full or f.skipped or f.chiral or f.weakly_chiral)
 

@@ -61,6 +61,13 @@ MAX_SAMPLES = 1000
 # and 37 MB (CPython 3.11, 2 vCPUs); MAX_SAMPLES times the 18 words of
 # the default --max-len is let through.
 MAX_DRAWS = 20000
+# The most Nielsen moves, draws times theta_length, in one suite's draws.
+# A move can lengthen the sampled words, so a draw of 64 moves costs far
+# more than 13 of 5. In lemma1 at the default words (CPython 3.11, 2 vCPUs),
+# 18,000 draws of 5 moves (90,000) take about 2.1 s and 59 MB, and 1,548
+# of 64 (99,072, the most let through at that length) 9.3 s and 126 MB.
+# MAX_SAMPLES at the default theta_length passes; 1,000 of 64 do not.
+MAX_DRAWN_MOVES = 100000
 _DRAWN = {"lemma1": "theta_samples", "thm1": "gamma_samples"}
 
 
@@ -173,7 +180,11 @@ class _Scans:
     A scan is kept by (group, cyclic reduction of the word). Every scan
     routes on that reduction (`Word.scan_plan`), so equal keys give equal
     counts. A scan over the budget raises on each call and is not kept.
-    Equal member and count tuples are stored once."""
+    Equal member and count tuples are stored once. The coarser
+    `conjugacy_key`, which `search_chiral` keys its findings by, is not
+    used here: it costs O(L^2) on each long sampled theta(w), and it would
+    merge theta(w) with w, so lemma1's theta cases would compare a scan
+    with itself."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -375,17 +386,28 @@ def _drive(name: str, bounds: Bounds, words: Sequence[Word],
 
 def _words(bounds: Bounds, names: Sequence[str]) -> List[Word]:
     """The canonical words of a run of the named suites. A run in which
-    one suite would draw more than MAX_DRAWS automorphisms is refused here,
-    before any is drawn."""
+    one suite would draw more than MAX_DRAWS automorphisms, or more than
+    MAX_DRAWN_MOVES Nielsen moves in all, is refused here, before any is
+    drawn."""
     words = canonical_words(bounds.rank, bounds.max_word_len)
     for name, field in _DRAWN.items():
-        draws = len(words) * getattr(bounds, field)
-        if name in names and draws > MAX_DRAWS:
+        if name not in names:
+            continue
+        count = getattr(bounds, field)
+        draws = len(words) * count
+        flag = "--" + field.replace("_", "-")
+        what = (f"{len(words)} words of length <= {bounds.max_word_len} "
+                f"times {field} {count}")
+        if draws > MAX_DRAWS:
             raise ValueError(
-                f"{len(words)} words of length <= {bounds.max_word_len} "
-                f"times {field} {getattr(bounds, field)} is {draws} sampled "
-                f"automorphisms, more than {MAX_DRAWS}; lower --max-len or "
-                f"--{field.replace('_', '-')}")
+                f"{what} is {draws} sampled automorphisms, more than "
+                f"{MAX_DRAWS}; lower --max-len or {flag}")
+        moves = draws * bounds.theta_length
+        if moves > MAX_DRAWN_MOVES:
+            raise ValueError(
+                f"{what} times theta_length {bounds.theta_length} is "
+                f"{moves} Nielsen moves, more than {MAX_DRAWN_MOVES}; "
+                f"lower --theta-length or {flag}")
     return words
 
 

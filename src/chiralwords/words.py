@@ -374,6 +374,18 @@ def canonical_form(w: Word) -> Word:
                               w.rank)
 
 
+def conjugacy_key(w: Word) -> Tuple[int, ...]:
+    """The least normal form (`_normal_form`) over the letter rotations of
+    w's cyclic reduction. Equal keys hold exactly when two cyclic
+    reductions share an orbit under rotation and signed generator
+    permutations, automorphisms of F_d up to conjugation, so words with
+    equal keys and rank have equal fiber counts on every group. w^-1 is
+    not folded in: it inverts G_w and moves the chiral witness."""
+    indices = [_letter_index(g, s) for g, s in w.scan_plan()[0].letters()]
+    return min((_normal_form(indices[i:] + indices[:i])
+                for i in range(len(indices))), default=())
+
+
 def canonical_words(rank: int, max_len: int) -> list[Word]:
     """Canonical orbit representatives, the words w == canonical_form(w) of
     length <= max_len, by length and then by letters under

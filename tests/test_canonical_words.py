@@ -4,11 +4,14 @@ oracle that tries every signed generator permutation of w and of w^-1.
 `canonical_form` must equal the oracle on every reduced word of rank <= 3
 and length <= 5, and of rank 4 and length <= 4; `canonical_words` must be
 exactly the oracle's fixed points among `enumerate_words`, in order.
+`conjugacy_key` must split words exactly as the orbits of their letter-level
+cyclic reductions under rotation and signed generator permutations do.
 """
 
 import functools
 import itertools
 import time
+from collections import defaultdict
 
 import pytest
 
@@ -17,6 +20,8 @@ from chiralwords.words import (
     MAX_WALK_LETTERS,
     Word,
     canonical_form,
+    conjugacy_key,
+    parse_word,
     reduce_syllables,
 )
 from conftest import enumerate_words
@@ -95,3 +100,42 @@ def test_the_walk_bound_refuses_before_any_word_is_built(rank, max_len):
 def test_a_rank_below_1_is_refused_before_the_walk():
     with pytest.raises(ValueError, match="rank must be positive, got 0"):
         canonical_words(0, 10 ** 9)
+
+
+def oracle_conjugacy_orbit(w: Word) -> frozenset:
+    """Every rotation of w's cyclic reduction, cut one letter at a time from
+    both ends, under every signed generator permutation."""
+    letters = [(g - 1) * 2 + (s < 0) for g, s in w.letters()]
+    while len(letters) > 1 and letters[0] == letters[-1] ^ 1:
+        letters = letters[1:-1]
+    return frozenset(tuple(map(table.__getitem__, letters[i:] + letters[:i]))
+                     for table in relabellings(w.rank)
+                     for i in range(max(len(letters), 1)))
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 6), (3, 4)])
+def test_conjugacy_keys_are_equal_exactly_on_an_orbit(rank, max_len):
+    by_key, by_orbit = defaultdict(set), defaultdict(set)
+    for w in enumerate_words(rank, max_len):
+        key, orbit = conjugacy_key(w), oracle_conjugacy_orbit(w)
+        assert key == min(orbit), w
+        by_key[key].add(w)
+        by_orbit[orbit].add(w)
+    assert ({frozenset(c) for c in by_key.values()}
+            == {frozenset(c) for c in by_orbit.values()})
+
+
+def test_the_sweep_words_fall_into_36_classes():
+    words = [w for w in canonical_words(2, 6) if len(w.syllables) > 1]
+    assert len(words) == 106
+    assert len({conjugacy_key(w) for w in words}) == 36
+
+
+@pytest.mark.parametrize("text, key", [
+    ("e", ()), ("x1", (0,)), ("x2^-3", (0, 0, 0)), ("x3^2", (0, 0)),
+    ("x2 x1 x2^-1", (0,)), ("x1^-1 x3^4 x1", (0, 0, 0, 0)),
+    ("x1 x2 x1^-1 x2^-1", (0, 2, 1, 3))])
+def test_the_key_of_a_power_and_its_conjugates(text, key):
+    # The identity word and a one-syllable word, conjugated or not, have
+    # the key () or x1^|e|; a commutator keeps both generators.
+    assert conjugacy_key(parse_word(text, 3)) == key

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chiralwords
-from chiralwords import cli
+from chiralwords import cli, verify
 from chiralwords.cli import main
 from chiralwords.groups import MAX_AUTOMORPHISMS
 from chiralwords.search import MAX_RECORD_BYTES
@@ -233,6 +233,28 @@ def test_verify_refuses_more_sample_draws_than_the_cap(capsys, suite):
     assert err == ("error: 883 words of length <= 8 times theta_samples "
                    "1000 is 883000 sampled automorphisms, more than 20000; "
                    "lower --max-len or --theta-samples\n")
+
+
+@pytest.mark.parametrize("suite, flag", [("lemma1", "--theta-samples"),
+                                         ("thm1", "--gamma-samples"),
+                                         ("all", "--theta-samples")])
+def test_verify_refuses_more_drawn_moves_than_the_cap(capsys, monkeypatch,
+                                                      suite, flag):
+    # Each flag is inside its cap, but 18 words times 1,000 samples of 64
+    # Nielsen moves would run for minutes and past 1 GB.
+    def no_draw(*args):
+        raise AssertionError("sampled before the refusal")
+
+    monkeypatch.setattr(verify, "random_automorphism", no_draw)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", suite, "--theta-length", "64",
+                         flag, "1000")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err == (f"error: 18 words of length <= 4 times "
+                   f"{flag[2:].replace('-', '_')} 1000 times theta_length "
+                   "64 is 1152000 Nielsen moves, more than 100000; lower "
+                   f"--theta-length or {flag}\n")
 
 
 @pytest.mark.parametrize("length", ["-1", "65", "1000000000"])

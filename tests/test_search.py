@@ -1,11 +1,27 @@
+from collections import defaultdict
+
 import pytest
 
-from chiralwords import reports
+from chiralwords import reports, search
+from chiralwords.catalog import catalog_groups
+from chiralwords.engine import naive_image, pair_verdicts
+from chiralwords.groups import parse_group_spec
 from chiralwords.search import (
     MalformedRecordError,
     replay,
     search_chiral,
 )
+from chiralwords.words import (
+    Word,
+    canonical_words,
+    conjugacy_key,
+    parse_word,
+    reduce_syllables,
+)
+
+from conftest import metacyclic_c7_c9
+from test_canonical_words import relabellings
+from test_normal_fibers import CHIRAL
 
 
 def run_sweep(**kwargs):
@@ -152,3 +168,85 @@ def test_budget_exceeded_recorded_as_skipped():
     for f in findings:
         ok, _ = replay(f.to_record(), budget=10)
         assert ok
+
+
+# --- one scan per (group, word class) in each search_chiral call ---------
+
+def per_pair_lines(rank, max_len, max_order, **kwargs):
+    """The full sweep rebuilt with one `_scan_pair` per (word, group)."""
+    groups = [(spec, g) for spec, g in catalog_groups(max_order)
+              if not g.is_abelian]
+    return [reports.dumps_line(search._scan_pair(
+                spec, g, w, kwargs.get("auto_cap", search.DEFAULT_AUTO_CAP),
+                kwargs.get("budget", search.DEFAULT_BUDGET)).to_record())
+            for w in canonical_words(rank, max_len) if len(w.syllables) > 1
+            for spec, g in groups]
+
+
+@pytest.mark.parametrize("rank, max_len, max_order", [
+    (2, 6, 24), (2, 8, 16), (3, 5, 12)])
+def test_the_table_gives_the_per_pair_bytes(rank, max_len, max_order):
+    lines = [reports.dumps_line(f.to_record())
+             for f in search_chiral(rank, max_len, max_order, full=True)]
+    assert lines == per_pair_lines(rank, max_len, max_order)
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    calls = []
+    original = search._scan_pair
+
+    def spy(spec, g, w, auto_cap, budget):
+        calls.append((spec, w))
+        return original(spec, g, w, auto_cap, budget)
+
+    monkeypatch.setattr(search, "_scan_pair", spy)
+    return calls
+
+
+def test_the_bench_sweep_scans_each_group_and_class_once(scan_calls):
+    # 106 words in 36 classes, times 15 nonabelian groups. The table lives
+    # for one call: the second call scans all 540 again.
+    for run in (1, 2):
+        findings = list(search_chiral(2, 6, 24, full=True))
+        assert len(findings) == 1590
+        assert len(scan_calls) == 540 * run
+    assert len({(spec, conjugacy_key(w)) for spec, w in scan_calls}) == 540
+
+
+def test_copied_findings_keep_the_budget_refusal(scan_calls):
+    findings = list(search_chiral(rank=2, max_len=4, max_order=6,
+                                  families=["S"], budget=10, full=True))
+    assert len(findings) == 13 > len(scan_calls) == 9
+    assert {f.skipped for f in findings} == {
+        "6^2 = 36 tuples exceed budget 10; lower the rank or group order, "
+        "or raise --budget"}
+    for f in findings:
+        assert replay(f.to_record(), budget=10) == (True, [])
+
+
+def signed_relabellings(w: Word) -> list:
+    """w under every rotation of its syllables and every signed generator
+    permutation."""
+    sylls = w.syllables
+    return [reduce_syllables([(table[2 * (g - 1)] // 2 + 1,
+                               e if table[2 * (g - 1)] % 2 == 0 else -e)
+                              for g, e in sylls[i:] + sylls[:i]], w.rank)
+            for table in relabellings(w.rank) for i in range(len(sylls))]
+
+
+@pytest.mark.parametrize("spec", ["S4", "D8", "Q8", "C7:C9"])
+def test_orbit_mates_have_equal_naive_counts(spec):
+    g = metacyclic_c7_c9() if spec == "C7:C9" else parse_group_spec(spec)
+    classes = defaultdict(list)
+    for w in canonical_words(2, 6):
+        classes[conjugacy_key(w)].append(w)
+    if spec == "C7:C9":  # the only group with positive verdicts
+        chiral = parse_word(CHIRAL, 2)
+        mates = signed_relabellings(chiral)
+        assert len(set(mates)) == 32
+        assert all(pair_verdicts(g, w).chiral for w in mates[::7])
+        classes[conjugacy_key(chiral)] += mates
+    for words in classes.values():
+        counts = {naive_image(g, w)[1].counts for w in words}
+        assert len(counts) == 1, words

@@ -192,6 +192,48 @@ def test_the_draw_cap_admits_the_largest_sample_counts_at_the_defaults():
             verify._words(wide, [suite])
 
 
+@pytest.mark.parametrize("name, suite", [("theta_samples", "lemma1"),
+                                         ("gamma_samples", "thm1")])
+def test_a_run_refuses_more_drawn_moves_than_the_cap(name, suite,
+                                                     monkeypatch):
+    # Every cap on its own holds: 18 words times 1,000 samples is under
+    # MAX_DRAWS and 64 is MAX_THETA_LENGTH. But the 1,152,000 moves would
+    # run for minutes and past 1 GB, so the run is refused before any draw.
+    def no_draw(*args):
+        raise AssertionError("sampled before the refusal")
+
+    monkeypatch.setattr(verify, "random_automorphism", no_draw)
+    bounds = Bounds(theta_length=verify.MAX_THETA_LENGTH,
+                    **{name: verify.MAX_SAMPLES})
+    message = (f"18 words of length <= 4 times {name} 1000 times "
+               f"theta_length 64 is 1152000 Nielsen moves, more than "
+               f"{verify.MAX_DRAWN_MOVES}; lower --theta-length or "
+               f"--{name.replace('_', '-')}")
+    for run in (run_all, lambda b: run_suite(suite, b)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            run(bounds)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == message
+
+
+def test_the_move_cap_admits_the_runs_in_use():
+    # The defaults, 1,000 samples at the default theta_length (90,000
+    # moves) and 60 samples of 64 moves (69,120) pass; 87 of 64 do not.
+    for bounds in (Bounds(), Bounds(theta_samples=verify.MAX_SAMPLES,
+                                    gamma_samples=verify.MAX_SAMPLES),
+                   Bounds(theta_samples=60, gamma_samples=60,
+                          theta_length=64)):
+        assert len(verify._words(bounds, SUITES)) == 18
+    assert 18 * verify.MAX_SAMPLES * Bounds.theta_length \
+        <= verify.MAX_DRAWN_MOVES < 18 * 87 * 64
+    with pytest.raises(ValueError, match="is 100224 Nielsen moves"):
+        verify._words(Bounds(theta_samples=87, theta_length=64), ["lemma1"])
+    # A suite that draws no automorphisms is not refused for the others'.
+    assert verify._words(Bounds(theta_samples=87, gamma_samples=0,
+                                theta_length=64), ["thm1"])
+
+
 @pytest.mark.parametrize("length", [-1, verify.MAX_THETA_LENGTH + 1, 10 ** 9])
 def test_bounds_refuse_a_theta_length_outside_the_cap(length):
     with pytest.raises(ValueError, match=(
