@@ -36,6 +36,7 @@ FILE_CACHE_SIZE = 16
 # Entries per LRU: built-in groups by spec, and Aut(G) and AA(G) by group.
 # The catalog at order <= 32 has 55 groups, so none evicts.
 GROUP_CACHE_SIZE = 64
+_BY_GROUP: List[Any] = []  # the LRUs made by _cached_by_group
 
 AUTOMORPHISM = "automorphism"
 ANTI_AUTOMORPHISM = "anti-automorphism"
@@ -858,8 +859,10 @@ def _cached_by_group(fn):
     """An LRU of fn(g) with one entry per group, called as f(g, cap=...).
     The cap only decides whether |G| admits g, so it is checked before the
     lookup: every cap that admits g shares g's entry. The wrapper keeps the
-    LRU's `cache_info` and `cache_clear`."""
+    LRU's `cache_info`; its `cache_clear` clears every such LRU, since the
+    stabiliser chain's is a step of the others'."""
     cached = functools.lru_cache(maxsize=GROUP_CACHE_SIZE)(fn)
+    _BY_GROUP.append(cached)
 
     @functools.wraps(fn)
     def call(g: FiniteGroup, cap: int = DEFAULT_AUTO_CAP):
@@ -869,25 +872,23 @@ def _cached_by_group(fn):
         return cached(g)
 
     del call.__wrapped__  # whose signature lacks the cap
-    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    call.cache_info = cached.cache_info
+    call.cache_clear = lambda: [lru.cache_clear() for lru in _BY_GROUP]
     return call
 
 
 @_cached_by_group
-def enumerate_automorphisms(g: FiniteGroup) -> Tuple[GroupMap, ...]:
-    """All automorphisms of g, in deterministic (image-array) order; called
-    as enumerate_automorphisms(g, cap), it refuses a g of order above cap.
-
-    A stabiliser chain over the base b_0..b_{k-1} = g.search_generators:
+def _stabiliser_chain(g: FiniteGroup) -> tuple:
+    """(the strong generators of Aut(g), law-checked, and the transversals)
+    of a stabiliser chain over the base b_0..b_{k-1} = g.search_generators:
     S_i is the automorphisms fixing b_0..b_{i-1}, and S_k is trivial. From
     i = k-1 down to 0, the orbit of b_i under the generators found at
-    levels >= i is grown with one transversal map per point. Each
-    same-profile candidate c outside the orbit gets one search for a map
-    fixing b_<i and sending b_i to c: a map found joins the generators and
-    the orbit grows again; none found means c is outside the orbit. So
-    |Aut(G)| is the product of the orbit lengths, checked against
-    MAX_AUTOMORPHISMS before any automorphism is built, and every
-    automorphism is one product u_0 u_1 ... u_{k-1} of transversal maps."""
+    levels >= i, which generate S_i, is grown with one transversal map per
+    point. Each same-profile candidate c outside the orbit gets one search
+    for a map fixing b_<i and sending b_i to c: a map found joins the
+    generators and the orbit grows again; none found means c is outside the
+    orbit. So |Aut(G)| is the product of the orbit lengths, checked against
+    MAX_AUTOMORPHISMS before any map is checked."""
     base, profiles = g.search_generators, g.profiles
     identity = tuple(g.elements())
     strong: List[Tuple[int, ...]] = []
@@ -921,15 +922,44 @@ def enumerate_automorphisms(g: FiniteGroup) -> Tuple[GroupMap, ...]:
                                    f"{MAX_AUTOMORPHISMS} automorphisms, "
                                    "the enumeration bound")
         transversals.append(list(orbit.values()))
-    arrays = [identity]
+    return tuple(GroupMap(g, s, AUTOMORPHISM) for s in strong), transversals
+
+
+@_cached_by_group
+def enumerate_automorphisms(g: FiniteGroup) -> Tuple[GroupMap, ...]:
+    """All automorphisms of g, in deterministic (image-array) order; called
+    as enumerate_automorphisms(g, cap), it refuses a g of order above cap.
+    Each is one product u_0 u_1 ... u_{k-1} of the chain's transversal maps,
+    law-checked unless it is a strong generator, checked already."""
+    strong, transversals = _stabiliser_chain(g, g.order)
+    checked = {s.images: s for s in strong}
+    arrays = [tuple(g.elements())]
     for maps in transversals:  # S_i = u_i S_{i+1}, from S_k = 1 up to S_0
         arrays = [tuple(map(u.__getitem__, a)) for u in maps for a in arrays]
-    return tuple(GroupMap(g, arr, AUTOMORPHISM) for arr in sorted(arrays))
+    return tuple(checked.get(arr) or GroupMap(g, arr, AUTOMORPHISM)
+                 for arr in sorted(arrays))
+
+
+@_cached_by_group
+def automorphism_orbit_minima(g: FiniteGroup) -> Tuple[int, ...]:
+    """The least element of each element's Aut(G)-orbit, closed under the
+    strong generators alone; called with a cap as the enumerations are."""
+    strong = [s.images for s in _stabiliser_chain(g, g.order)[0]]
+    minima = list(g.elements())
+    for x in g.elements():  # ascending: x is the least of a new orbit
+        orbit = [x] if minima[x] == x else []
+        for y in orbit:
+            for s in strong:
+                if minima[s[y]] > x:
+                    minima[s[y]] = x
+                    orbit.append(s[y])
+    return tuple(minima)
 
 
 class AllGammas(tuple):
     """Every anti-automorphism of a group, in enumeration order, carrying
-    `orbit_minima`, the least element of each element's Aut(G)-orbit.
+    `orbit_minima`, the least element of each element's Aut(G)-orbit
+    (`automorphism_orbit_minima`).
 
     Only `enumerate_anti_automorphisms` makes one: any other sequence of
     gammas, even one built from these, is a plain tuple or list."""
@@ -942,7 +972,7 @@ def enumerate_anti_automorphisms(g: FiniteGroup) -> AllGammas:
     """All anti-automorphisms, via the bijection with automorphisms."""
     autos = enumerate_automorphisms(g, g.order)  # g passed the caller's cap
     gammas = AllGammas(anti_from_auto(zeta) for zeta in autos)
-    gammas.orbit_minima = tuple(map(min, zip(*[z.images for z in autos])))
+    gammas.orbit_minima = automorphism_orbit_minima(g, g.order)
     return gammas
 
 

@@ -18,6 +18,8 @@ from typing import Any, Iterable, Optional, Sequence, Set
 _TIMING_KEYS = {"wall_time_s"}
 _CONSTANTS = {True: "true", False: "false", None: "null"}
 _CONSTANT_TYPES = {bool, type(None)}
+# json.dumps builds an encoder per call when given separators; this is it.
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def strip_timing(obj: Any) -> Any:
@@ -126,7 +128,7 @@ def _render_records(records: Sequence[dict], newline: str) -> Optional[str]:
 
 
 def dumps_line(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    return _LINE_ENCODER.encode(obj)
 
 
 def stable_digest(obj: Any) -> str:

@@ -31,7 +31,7 @@ from .groups import (
     CapExceededError,
     FiniteGroup,
     _is_int,
-    enumerate_anti_automorphisms,
+    automorphism_orbit_minima,
     parse_group_spec,
 )
 from .words import (
@@ -112,8 +112,8 @@ def _scan_pair(spec: str, g: FiniteGroup, w: Word, auto_cap: int,
     # and weak verdicts and maps G_w onto (G_w)^-1.
     gammas_agree: Optional[bool]
     try:
-        rep = enumerate_anti_automorphisms(g, auto_cap).orbit_minima
-    except CapExceededError:  # Aut(G) not enumerated: agreement unknown
+        rep = automorphism_orbit_minima(g, auto_cap)
+    except CapExceededError:  # Aut(G) not searched: agreement unknown
         gammas_agree = None
     else:
         gammas_agree = weak_verdict_from_counts(g, v.fibers.counts,
@@ -183,7 +183,8 @@ def replay(record: dict, auto_cap: int = DEFAULT_AUTO_CAP,
     for key in ("order", "chiral", "weakly_chiral", "gammas_agree",
                 "chiral_witness", "weak_witness", "image_size",
                 "evaluations", "highlighted"):
-        if key in record and record[key] != fresh[key]:
+        if key in record and (type(record[key]) is not type(fresh[key])
+                              or record[key] != fresh[key]):  # JSON 0 != false
             mismatches.append(
                 f"{key}: recorded {record[key]!r}, recomputed {fresh[key]!r}")
     return (not mismatches, mismatches)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 Syllable = Tuple[int, int]  # (generator index 1..rank, nonzero exponent)
@@ -29,6 +30,10 @@ MAX_WALK_LETTERS = 1 << 21
 # Indices and exponents are ASCII digits only: str.isdigit() also accepts
 # characters such as '²' that int() refuses.
 DIGITS = "0123456789"
+# parse_word's terms x<index>[^[-]<exponent>], or one character but a
+# separator. `re` compiles it on first use, not at import.
+_FAST_TERMS = "x([0-9]{1,%d})(?:\\^(-?[0-9]{1,%d}))?|[^ *]" % (
+    MAX_DIGITS, MAX_DIGITS)
 
 
 class WordSyntaxError(ValueError):
@@ -164,6 +169,18 @@ def parse_word(text: str, rank: int) -> Word:
         raise ValueError(f"rank must be positive, got {rank}")
     if text.strip() == "e":
         return identity_word(rank)
+    # One regex pass reads reduced canonical text. int() refuses the empty
+    # groups of any other character, Word a bad field or a word to reduce.
+    try:
+        return Word(rank, tuple((int(gen), int(exp or 1)) for gen, exp
+                                in re.findall(_FAST_TERMS, text)))
+    except ValueError:
+        pass
+    return _walk_word(text, rank)
+
+
+def _walk_word(text: str, rank: int) -> Word:
+    """parse_word's character walk, the one source of WordSyntaxError."""
     syllables: list[Syllable] = []
     i, n = 0, len(text)
     while i < n:

@@ -559,6 +559,21 @@ def test_python_m_chiralwords_runs_the_cli(capsys):
     assert code == 0 and "C2xC2" in out
 
 
+
+def test_replay_exits_1_on_a_record_of_other_json_types(capsys, tmp_path):
+    path = tmp_path / "typed.jsonl"
+    path.write_text('{"group":"S3","word":"x1*x2","arity":2,"chiral":0,'
+                    '"weakly_chiral":0,"order":6.0,"image_size":6}\n'
+                    '{"group":"S3","word":"x1*x2","arity":2,"chiral":false,'
+                    '"weakly_chiral":false,"order":6,"image_size":6}\n')
+    code, out, _ = run(capsys, "replay", str(path))
+    assert code == 1
+    assert out.splitlines() == [
+        "line 1: MISMATCH: order: recorded 6.0, recomputed 6; "
+        "chiral: recorded 0, recomputed False; "
+        "weakly_chiral: recorded 0, recomputed False",
+        "line 2: pass"]
+
 @pytest.mark.parametrize("record, field", [
     ({"group": 5, "word": "x1", "arity": 1}, "group"),
     ({"group": ["S3"], "word": "x1", "arity": 2}, "group"),

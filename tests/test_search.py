@@ -250,3 +250,35 @@ def test_orbit_mates_have_equal_naive_counts(spec):
     for words in classes.values():
         counts = {naive_image(g, w)[1].counts for w in words}
         assert len(counts) == 1, words
+
+
+def test_replay_compares_json_types_as_well_as_values():
+    # 0 == False and 6.0 == 6 in Python, but not in the record's JSON.
+    record = {"group": "S3", "word": "x1*x2", "arity": 2, "chiral": 0,
+              "weakly_chiral": 0, "order": 6.0, "image_size": 6}
+    ok, mismatches = replay(record)
+    assert not ok and mismatches == [
+        "order: recorded 6.0, recomputed 6",
+        "chiral: recorded 0, recomputed False",
+        "weakly_chiral: recorded 0, recomputed False"]
+    assert replay({**record, "chiral": False, "weakly_chiral": False,
+                   "order": 6}) == (True, [])
+
+
+REPLAYED = ("order", "chiral", "weakly_chiral", "gammas_agree",
+            "chiral_witness", "weak_witness", "image_size", "evaluations",
+            "highlighted")
+
+
+def test_replay_refuses_every_retyped_field_of_the_sweep_records():
+    for record in (f.to_record() for f in search_chiral(2, 3, 8, full=True)):
+        assert replay(record) == (True, [])
+        for key in REPLAYED:
+            value = record[key]
+            retyped = ([float(value)] if type(value) is int else
+                       [int(value), float(value)] if type(value) is bool
+                       else [])
+            for other in retyped:
+                ok, mismatches = replay({**record, key: other})
+                assert not ok and mismatches == [
+                    f"{key}: recorded {other!r}, recomputed {value!r}"]
