@@ -8,6 +8,7 @@ before any scan), 3 evaluation budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -195,12 +196,18 @@ def cmd_verify(args) -> int:
         gamma_samples=args.gamma_samples, theta_length=args.theta_length,
         seed=args.seed, auto_cap=args.auto_cap, budget=args.budget,
         families=tuple(args.families) if args.families else None)
-    if args.suite == "all":
-        results = run_all(bounds)
-    else:
-        results = [run_suite(args.suite, bounds)]
-    summary = summarize(results)
-    summary["stable_digest"] = reports.stable_digest(summary)
+    # Opened before the run, as `search` opens it before its first scan, so
+    # a path that cannot be written exits 2 before any suite runs.
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as sink:
+        if args.suite == "all":
+            results = run_all(bounds)
+        else:
+            results = [run_suite(args.suite, bounds)]
+        summary = summarize(results)
+        summary["stable_digest"] = reports.stable_digest(summary)
+        if sink:
+            text = reports.dumps(summary)
+            sink.write(text + "\n")
     lines = []
     for r in results:
         status = "PASS" if r.passed else f"FAIL ({len(r.failures)} failures)"
@@ -208,10 +215,6 @@ def cmd_verify(args) -> int:
                      f"[{r.cases} cases, {len(r.skipped)} skipped, "
                      f"{r.wall_time_s:.2f}s]")
     lines.append(f"stable digest: {summary['stable_digest']}")
-    if args.out:
-        text = reports.dumps(summary)
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
     if args.out and args.format == "structured":
         print(text)
     else:

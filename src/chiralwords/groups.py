@@ -17,6 +17,7 @@ import math
 import operator
 import os
 import re
+import stat
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -449,6 +450,10 @@ _FAMILY_RE = re.compile(r"^([CDSA])([0-9]+)$")
 # Longer numbers exceed every order cap and degree bound; int() of 4,300 or
 # more digits would raise a plain ValueError, so they are refused unread.
 MAX_SPEC_DIGITS = 9
+# The most factors in a product spec: 10 factors of order 2 or more pass
+# DEFAULT_ORDER_CAP, so only C1 padding makes a longer product, and
+# `_built_in_group` recurses once per factor.
+MAX_FACTORS = 9
 
 
 def build_family(spec: str) -> FiniteGroup:
@@ -617,11 +622,16 @@ def load_group_file(path: str | os.PathLike) -> FiniteGroup:
 
 
 def _read_group_file(path: str) -> bytes:
-    """The file's bytes; a file larger than MAX_GROUP_FILE_BYTES is refused
-    before it is read."""
+    """The file's bytes. Anything but a regular file, and a file larger
+    than MAX_GROUP_FILE_BYTES, is refused before it is read."""
     try:
-        with open(path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size <= MAX_GROUP_FILE_BYTES:
+        # Non-blocking, so that opening a FIFO with no writer returns.
+        with open(path, "rb", opener=lambda p, flags: os.open(
+                p, flags | getattr(os, "O_NONBLOCK", 0))) as fh:
+            st = os.fstat(fh.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                raise GroupError(f"group file {path} is not a regular file")
+            if st.st_size <= MAX_GROUP_FILE_BYTES:
                 data = fh.read(MAX_GROUP_FILE_BYTES + 1)
                 if len(data) <= MAX_GROUP_FILE_BYTES:
                     return data
@@ -670,6 +680,10 @@ def parse_group_spec(spec: str) -> FiniteGroup:
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _built_in_group(spec: str) -> FiniteGroup:
     """A family group, or a product of factors built through this cache."""
+    factors = spec.count("x") + 1
+    if factors > MAX_FACTORS:
+        raise GroupSpecError(f"group spec has {factors} factors, more than "
+                             f"{MAX_FACTORS}")
     parts = spec.split("x")
     if not all(part.strip() for part in parts):
         raise GroupSpecError(f"group spec {spec!r} has an empty factor")

@@ -50,23 +50,14 @@ MAX_RECORDED_FAILURES = 100
 # at the default bounds, 64 moves take about 0.6 s to sample and reach
 # 9,225 syllables; 128 pass `words.MAX_EXPANSION`.
 MAX_THETA_LENGTH = 64
-# The most sampled automorphisms of each kind per word. Each suite draws
-# every word's samples before its first scan, and time grows linearly in
-# the count: at the default bounds, 1,000 theta samples take about 2.2 s
-# and 59 MB (CPython 3.11, 2 vCPUs), as do 1,000 gamma samples.
-MAX_SAMPLES = 1000
-# The most automorphisms one suite draws in a run: lemma1 draws
-# theta_samples and thm1 gamma_samples per canonical word, all before its
-# first scan. At the default theta_length 20,000 draws take about 2.5 s
-# and 37 MB (CPython 3.11, 2 vCPUs); MAX_SAMPLES times the 18 words of
-# the default --max-len is let through.
-MAX_DRAWS = 20000
-# The most Nielsen moves, draws times theta_length, in one suite's draws.
-# A move can lengthen the sampled words, so a draw of 64 moves costs far
-# more than 13 of 5. In lemma1 at the default words (CPython 3.11, 2 vCPUs),
-# 18,000 draws of 5 moves (90,000) take about 2.1 s and 59 MB, and 1,548
-# of 64 (99,072, the most let through at that length) 9.3 s and 126 MB.
-# MAX_SAMPLES at the default theta_length passes; 1,000 of 64 do not.
+# The most Nielsen moves one suite draws in a run: lemma1 draws
+# theta_samples and thm1 gamma_samples automorphisms of theta_length moves
+# per canonical word, all before its first scan. A move can lengthen the
+# sampled words, so a long draw costs more per move than a short one; a
+# draw of fewer than 5 moves counts as 5, for its fixed cost. In lemma1 at
+# the default bounds (CPython 3.11, 2 vCPUs), 1 word times 20,000 draws of
+# 5 moves takes about 1.9 s and 50 MB, 18 words times 1,000 draws of 5
+# about 2.4 s and 59 MB, and 18 times 60 draws of 64 about 6.5 s and 95 MB.
 MAX_DRAWN_MOVES = 100000
 _DRAWN = {"lemma1": "theta_samples", "thm1": "gamma_samples"}
 
@@ -97,9 +88,6 @@ class Bounds:
                             ("gamma_samples", gamma_samples)):
             if count < 0:  # range(-1) is empty
                 raise ValueError(f"{name} must be nonnegative, got {count}")
-            if count > MAX_SAMPLES:
-                raise ValueError(f"{name} must be at most {MAX_SAMPLES}, "
-                                 f"got {count}")
         if not 0 <= theta_length <= MAX_THETA_LENGTH:
             raise ValueError(f"theta_length must be between 0 and "
                              f"{MAX_THETA_LENGTH}, got {theta_length}")
@@ -386,28 +374,19 @@ def _drive(name: str, bounds: Bounds, words: Sequence[Word],
 
 def _words(bounds: Bounds, names: Sequence[str]) -> List[Word]:
     """The canonical words of a run of the named suites. A run in which
-    one suite would draw more than MAX_DRAWS automorphisms, or more than
-    MAX_DRAWN_MOVES Nielsen moves in all, is refused here, before any is
-    drawn."""
+    one suite's draws would take more than MAX_DRAWN_MOVES Nielsen moves
+    is refused here, before any is drawn."""
     words = canonical_words(bounds.rank, bounds.max_word_len)
     for name, field in _DRAWN.items():
-        if name not in names:
-            continue
         count = getattr(bounds, field)
-        draws = len(words) * count
-        flag = "--" + field.replace("_", "-")
-        what = (f"{len(words)} words of length <= {bounds.max_word_len} "
-                f"times {field} {count}")
-        if draws > MAX_DRAWS:
+        moves = len(words) * count * max(bounds.theta_length, 5)
+        if name in names and moves > MAX_DRAWN_MOVES:
             raise ValueError(
-                f"{what} is {draws} sampled automorphisms, more than "
-                f"{MAX_DRAWS}; lower --max-len or {flag}")
-        moves = draws * bounds.theta_length
-        if moves > MAX_DRAWN_MOVES:
-            raise ValueError(
-                f"{what} times theta_length {bounds.theta_length} is "
-                f"{moves} Nielsen moves, more than {MAX_DRAWN_MOVES}; "
-                f"lower --theta-length or {flag}")
+                f"{len(words)} words of length <= {bounds.max_word_len} "
+                f"times {field} {count} times max(theta_length "
+                f"{bounds.theta_length}, 5) is {moves} Nielsen moves, more "
+                f"than {MAX_DRAWN_MOVES}; lower --max-len, "
+                f"--{field.replace('_', '-')} or --theta-length")
     return words
 
 

@@ -246,11 +246,6 @@ class FreeGroupEndo:
         self.images = images
         self.inverse_images = inverse_images
 
-    def inverse(self) -> "FreeGroupEndo":
-        if self.inverse_images is None:
-            raise ValueError("endomorphism carries no invertibility witness")
-        return FreeGroupEndo(self.rank, self.inverse_images, self.images)
-
 
 def identity_endo(rank: int) -> FreeGroupEndo:
     gens = tuple(Word(rank, ((i, 1),)) for i in range(1, rank + 1))

@@ -72,6 +72,14 @@ def enumerate_words(rank: int, max_len: int):
                                     for i in seq], rank)
 
 
+def inverse_endo(e: FreeGroupEndo) -> FreeGroupEndo:
+    """The inverse of an automorphism-witnessed endo: its images and inverse
+    images swapped."""
+    if e.inverse_images is None:
+        raise ValueError("endomorphism carries no invertibility witness")
+    return FreeGroupEndo(e.rank, e.inverse_images, e.images)
+
+
 def compose(e1: FreeGroupEndo, e2: FreeGroupEndo) -> FreeGroupEndo:
     """(e1 . e2)(x) = e1 applied to e2's image of x. Folded over the
     Nielsen moves `random_automorphism` draws, it is that function's oracle.
@@ -83,7 +91,7 @@ def compose(e1: FreeGroupEndo, e2: FreeGroupEndo) -> FreeGroupEndo:
     images = tuple(substitute(img, e1) for img in e2.images)
     inv_images = None
     if e1.inverse_images is not None and e2.inverse_images is not None:
-        e2_inv = e2.inverse()
+        e2_inv = inverse_endo(e2)
         inv_images = tuple(substitute(img, e2_inv) for img in e1.inverse_images)
     return FreeGroupEndo(e1.rank, images, inv_images)
 

@@ -209,30 +209,42 @@ def test_verify_refuses_a_negative_sample_count(capsys, flag):
     assert err.startswith("error: " + flag[2:].replace("-", "_"))
 
 
-@pytest.mark.parametrize("flag", ["--theta-samples", "--gamma-samples"])
-def test_verify_refuses_a_sample_count_over_the_cap(capsys, flag):
-    # Refused before any automorphism is sampled: 10^9 samples used to run
-    # until killed.
+def refused_run(capsys, monkeypatch, *argv):
+    """The stderr of a verify run that exits 2 at once, before any draw."""
+    def no_draw(*args):
+        raise AssertionError("sampled before the refusal")
+
+    monkeypatch.setattr(verify, "random_automorphism", no_draw)
     start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "all", flag, "1000000000")
+    code, out, err = run(capsys, "verify", *argv)
     assert time.perf_counter() - start < 0.1
     assert (code, out) == (2, "")
-    assert err == (f"error: {flag[2:].replace('-', '_')} must be at most "
-                   "1000, got 1000000000\n")
+    return err
+
+
+def move_bound_error(words, max_len, flag, count, length):
+    return (f"error: {words} words of length <= {max_len} times "
+            f"{flag[2:].replace('-', '_')} {count} times max(theta_length "
+            f"{length}, 5) is {words * count * max(length, 5)} Nielsen "
+            f"moves, more than 100000; lower --max-len, {flag} or "
+            "--theta-length\n")
+
+
+@pytest.mark.parametrize("flag", ["--theta-samples", "--gamma-samples"])
+def test_verify_refuses_a_billion_samples_at_once(capsys, monkeypatch, flag):
+    # 10^9 samples used to run until killed.
+    err = refused_run(capsys, monkeypatch, "all", flag, "1000000000")
+    assert err == move_bound_error(18, 4, flag, 1000000000, 5)
 
 
 @pytest.mark.parametrize("suite", ["lemma1", "all"])
-def test_verify_refuses_more_sample_draws_than_the_cap(capsys, suite):
-    # Both flags are inside their caps, but 883 words times 1,000 samples
-    # used to run until killed.
-    start = time.perf_counter()
-    code, out, err = run(capsys, "verify", suite, "--max-order", "2",
-                         "--max-len", "8", "--theta-samples", "1000")
-    assert time.perf_counter() - start < 0.1
-    assert (code, out) == (2, "")
-    assert err == ("error: 883 words of length <= 8 times theta_samples "
-                   "1000 is 883000 sampled automorphisms, more than 20000; "
-                   "lower --max-len or --theta-samples\n")
+def test_verify_refuses_more_sample_draws_than_the_cap(capsys, monkeypatch,
+                                                       suite):
+    # More than 20,000 draws: 883 words times 1,000 samples used to run
+    # until killed.
+    err = refused_run(capsys, monkeypatch, suite, "--max-order", "2",
+                      "--max-len", "8", "--theta-samples", "1000")
+    assert err == move_bound_error(883, 8, "--theta-samples", 1000, 5)
 
 
 @pytest.mark.parametrize("suite, flag", [("lemma1", "--theta-samples"),
@@ -240,21 +252,47 @@ def test_verify_refuses_more_sample_draws_than_the_cap(capsys, suite):
                                          ("all", "--theta-samples")])
 def test_verify_refuses_more_drawn_moves_than_the_cap(capsys, monkeypatch,
                                                       suite, flag):
-    # Each flag is inside its cap, but 18 words times 1,000 samples of 64
-    # Nielsen moves would run for minutes and past 1 GB.
+    # 18 words times 1,000 samples of 64 Nielsen moves would run for
+    # minutes and past 1 GB.
+    err = refused_run(capsys, monkeypatch, suite, "--theta-length", "64",
+                      flag, "1000")
+    assert err == move_bound_error(18, 4, flag, 1000, 64)
+
+
+def test_verify_runs_a_suite_that_draws_no_samples(capsys, monkeypatch):
+    # thm2 draws none of its --theta-samples, so 5,000 of them are no cost.
     def no_draw(*args):
-        raise AssertionError("sampled before the refusal")
+        raise AssertionError("thm2 drew a sample")
 
     monkeypatch.setattr(verify, "random_automorphism", no_draw)
+    code, out, _ = run(capsys, "verify", "thm2", "--theta-samples", "5000")
+    assert code == 0 and out.startswith("thm2: PASS [")
+
+
+def test_verify_out_that_cannot_be_opened_exits_2_at_once(capsys,
+                                                          monkeypatch,
+                                                          tmp_path):
+    # Opened before any suite runs: no sample is drawn and no group built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before --out was opened")
+
+    monkeypatch.setattr(verify, "random_automorphism", refuse)
+    monkeypatch.setattr(verify, "catalog_groups", refuse)
+    missing = tmp_path / "no" / "such" / "dir" / "x.json"
     start = time.perf_counter()
-    code, out, err = run(capsys, "verify", suite, "--theta-length", "64",
-                         flag, "1000")
+    code, out, err = run(capsys, "verify", "all", "--out", str(missing))
     assert time.perf_counter() - start < 0.1
     assert (code, out) == (2, "")
-    assert err == (f"error: 18 words of length <= 4 times "
-                   f"{flag[2:].replace('-', '_')} 1000 times theta_length "
-                   "64 is 1152000 Nielsen moves, more than 100000; lower "
-                   f"--theta-length or {flag}\n")
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    # Bounds refuses before --out is opened and leaves the file as it was;
+    # the run bound refuses after, and leaves it empty.
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    for flag, value, left in (("--theta-length", "65", "kept\n"),
+                              ("--theta-samples", "1000000000", "")):
+        code, out, _ = run(capsys, "verify", "all", flag, value,
+                           "--out", str(kept))
+        assert (code, out, kept.read_text()) == (2, "", left)
 
 
 @pytest.mark.parametrize("length", ["-1", "65", "1000000000"])

@@ -5,6 +5,7 @@ once per process, and an order above the cap is refused before any table
 is built. None of this may change an output or an exit code.
 """
 
+import ast
 import json
 import os
 import re
@@ -19,9 +20,11 @@ import pytest
 import chiralwords
 from chiralwords import cli, groups
 from chiralwords.catalog import catalog_groups
-from chiralwords.groups import (DEFAULT_ORDER_CAP, MAX_GROUP_FILE_BYTES,
-                                CapExceededError, build_family,
-                                parse_group_spec)
+from chiralwords.catalog import catalog_specs
+from chiralwords.groups import (DEFAULT_ORDER_CAP, MAX_FACTORS,
+                                MAX_GROUP_FILE_BYTES, CapExceededError,
+                                GroupError, build_family, parse_group_spec)
+from chiralwords.search import MalformedRecordError, replay
 
 # Mostly group list, search and verify lemma1; flags set and then omitted,
 # and usage errors (SystemExit 2) followed by valid calls.
@@ -264,6 +267,77 @@ def test_oversized_group_file_is_refused_unread(capsys, tmp_path,
     assert f"larger than {MAX_GROUP_FILE_BYTES} bytes" in err
     assert f"cap {DEFAULT_ORDER_CAP}" in err
     assert peak < 1 << 20
+
+
+def test_a_long_product_spec_exits_2_at_once(capsys, monkeypatch,
+                                             tmp_path):
+    # 3,000 factors of C1 stay under the order cap, but each factor took a
+    # level of recursion: the spec died in a RecursionError traceback, and
+    # replay's exit 1 read as a mismatch.
+    spec = "x".join(["C1"] * 3000)
+    record = tmp_path / "long.jsonl"
+    record.write_text(json.dumps({"group": spec, "word": "x1", "arity": 1,
+                                  "chiral": False}) + "\n")
+    refuse_tables(monkeypatch)
+    for argv in (["image", "--group", spec, "--word", "x1"],
+                 ["replay", str(record)]):
+        start = time.perf_counter()
+        code, out, err = call(capsys, argv)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err == "error: group spec has 3000 factors, more than 9\n"
+    with pytest.raises(GroupError, match="has 10 factors, more than 9"):
+        parse_group_spec("x".join(["C1"] * 10))
+
+
+def test_products_of_up_to_nine_factors_still_build():
+    # Ten factors of order 2 or more pass the order cap, so nine is the
+    # most a product can usefully have.
+    assert parse_group_spec("x".join(["C2"] * MAX_FACTORS)).order == 512
+    with pytest.raises(CapExceededError, match="exceeds cap"):
+        parse_group_spec("x".join(["C2"] * (MAX_FACTORS - 1) + ["C4"]))
+    worker = ast.parse((Path(__file__).resolve().parent.parent
+                        / "perfbench" / "worker.py").read_text())
+    benched = {node.value for node in ast.walk(worker)
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)
+               and re.fullmatch(r"[A-Z0-9]+(x[A-Z0-9]+)+", node.value)}
+    assert "S3xS3xC2" in benched
+    for spec in benched | set(catalog_specs(60)):
+        assert spec.count("x") < 3
+        assert parse_group_spec(spec).name == spec
+
+
+def test_a_group_file_that_is_not_regular_is_refused(monkeypatch, tmp_path):
+    # Opening a FIFO with no writer used to block; /dev/zero was read up to
+    # the size bound. Both are refused before any byte is read. The CLI runs
+    # first, in a fresh process, so that a regression fails on the timeout
+    # instead of hanging the suite.
+    fifo = tmp_path / "group.fifo"
+    os.mkfifo(fifo)
+    message = f"group file {fifo} is not a regular file"
+    src = str(Path(chiralwords.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "chiralwords", "group", "show", f"@{fifo}"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        timeout=20)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == f"error: {message}\n".encode()
+    with pytest.raises(GroupError) as info:
+        parse_group_spec(f"@{fifo}")
+    assert str(info.value) == message
+    with pytest.raises(MalformedRecordError) as info:
+        replay({"group": f"@{fifo}", "word": "x1", "arity": 1,
+                "chiral": False})
+    assert str(info.value) == message
+    if os.path.exists("/dev/zero"):
+        with pytest.raises(GroupError, match="is not a regular file"):
+            parse_group_spec("@/dev/zero")
+    # Where the platform has no O_NONBLOCK, a regular file still loads.
+    monkeypatch.delattr(os, "O_NONBLOCK")
+    path = tmp_path / "c3.json"
+    write_table(path, build_family("C3"))
+    assert parse_group_spec(f"@{path}").order == 3
 
 
 def test_groups_up_to_the_cap_still_load():

@@ -143,33 +143,48 @@ def test_bounds_refuse_a_negative_sample_count(name):
     assert getattr(Bounds(**{name: 0}), name) == 0
 
 
-@pytest.mark.parametrize("name", ["theta_samples", "gamma_samples"])
-def test_bounds_refuse_a_sample_count_over_the_cap(name):
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=(
-            f"{name} must be at most {verify.MAX_SAMPLES}, got {10 ** 9}")):
-        Bounds(**{name: 10 ** 9})
-    assert time.perf_counter() - start < 0.1
-    with pytest.raises(ValueError, match=f"{name} must be at most"):
-        Bounds(**{name: verify.MAX_SAMPLES + 1})
-    for count in (getattr(Bounds, name), verify.MAX_SAMPLES):
-        assert getattr(Bounds(**{name: count}), name) == count
+def two_cap_refusal(words, samples, length):
+    """The rule the run bound replaced: more than 20,000 draws, or more
+    than 100,000 Nielsen moves in draws of `length` moves."""
+    draws = words * samples
+    return draws > 20000 or draws * length > 100000
 
 
-@pytest.mark.parametrize("name, suite", [("theta_samples", "lemma1"),
-                                         ("gamma_samples", "thm1")])
-def test_a_run_refuses_more_draws_than_the_cap(name, suite, monkeypatch):
-    # 883 words times 1,000 samples: refused before any automorphism is
-    # drawn, by run_all and by the one suite that draws them.
+def test_the_run_bound_refuses_exactly_what_the_two_caps_refused(
+        monkeypatch):
+    # Draws D of length L: D * max(L, 5) > 100,000 holds exactly when
+    # D > 20,000 or D * L > 100,000. Checked on the rank-2 word counts of
+    # --max-len 0..6, every sample count 0..1,200 and every length 0..64.
+    lists = {n: canonical_words(2, n) for n in range(7)}
+    assert [len(lists[n]) for n in range(7)] == [1, 2, 4, 8, 18, 43, 113]
+    monkeypatch.setattr(verify, "canonical_words", lambda rank, n: lists[n])
+    mismatches = refusals = 0
+    for suite, field in (("lemma1", "theta_samples"),
+                         ("thm1", "gamma_samples")):
+        for n, words in lists.items():
+            for length in range(verify.MAX_THETA_LENGTH + 1):
+                bounds = Bounds(max_word_len=n, theta_length=length)
+                for samples in range(1201):
+                    setattr(bounds, field, samples)
+                    try:
+                        verify._words(bounds, [suite])
+                        refused = False
+                    except ValueError:
+                        refused = True
+                    refusals += refused
+                    mismatches += refused != two_cap_refusal(
+                        len(words), samples, length)
+    assert mismatches == 0
+    assert 0 < refusals < 2 * 7 * 65 * 1201
+
+
+def refused_draws(name, suite, monkeypatch, bounds, message):
+    """Both run_all and the one suite that draws `name` refuse `bounds` at
+    once, with `message`, before any automorphism is drawn."""
     def no_draw(*args):
         raise AssertionError("sampled before the refusal")
 
     monkeypatch.setattr(verify, "random_automorphism", no_draw)
-    bounds = Bounds(max_order=2, max_word_len=8,
-                    **{name: verify.MAX_SAMPLES})
-    message = (f"883 words of length <= 8 times {name} 1000 is 883000 "
-               f"sampled automorphisms, more than {verify.MAX_DRAWS}; "
-               f"lower --max-len or --{name.replace('_', '-')}")
     for run in (run_all, lambda b: run_suite(suite, b)):
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
@@ -178,55 +193,74 @@ def test_a_run_refuses_more_draws_than_the_cap(name, suite, monkeypatch):
         assert str(info.value) == message
 
 
+def move_bound_message(words, max_len, name, count, length):
+    moves = words * count * max(length, 5)
+    return (f"{words} words of length <= {max_len} times {name} {count} "
+            f"times max(theta_length {length}, 5) is {moves} Nielsen moves, "
+            f"more than {verify.MAX_DRAWN_MOVES}; lower --max-len, "
+            f"--{name.replace('_', '-')} or --theta-length")
+
+
+@pytest.mark.parametrize("name", ["theta_samples", "gamma_samples"])
+def test_a_run_refuses_a_billion_samples_before_any_draw(name, monkeypatch):
+    # Bounds takes any nonnegative count, as a suite that draws none of
+    # them may run; the run bound refuses it for the suite that draws it.
+    bounds = Bounds(**{name: 10 ** 9})
+    refused_draws(name, {"theta_samples": "lemma1",
+                         "gamma_samples": "thm1"}[name], monkeypatch, bounds,
+                  move_bound_message(18, 4, name, 10 ** 9, 5))
+
+
+@pytest.mark.parametrize("name, suite", [("theta_samples", "lemma1"),
+                                         ("gamma_samples", "thm1")])
+def test_a_run_refuses_more_draws_than_the_cap(name, suite, monkeypatch):
+    # A draw counts as at least 5 moves, so the run bound still refuses
+    # more than 20,000 draws at any theta_length: 883 words times 1,000
+    # samples, drawn at length 0.
+    bounds = Bounds(max_order=2, max_word_len=8, theta_length=0,
+                    **{name: 1000})
+    refused_draws(name, suite, monkeypatch, bounds,
+                  move_bound_message(883, 8, name, 1000, 0))
+
+
 def test_the_draw_cap_admits_the_largest_sample_counts_at_the_defaults():
-    bounds = Bounds(theta_samples=verify.MAX_SAMPLES,
-                    gamma_samples=verify.MAX_SAMPLES)
-    words = verify._words(bounds, SUITES)
-    assert len(words) * verify.MAX_SAMPLES == 18000 <= verify.MAX_DRAWS
+    # At the default 18 words and theta_length 5 that is 1,111 samples of
+    # either kind, and for one word at length 0 it is 20,000.
+    assert len(verify._words(Bounds(theta_samples=1111, gamma_samples=1111),
+                             SUITES)) == 18
+    for name in ("theta_samples", "gamma_samples"):
+        with pytest.raises(ValueError, match="is 100080 Nielsen moves"):
+            verify._words(Bounds(**{name: 1112}), SUITES)
+    for name, suite in (("theta_samples", "lemma1"),
+                        ("gamma_samples", "thm1")):
+        one = Bounds(max_word_len=0, theta_length=0, **{name: 20000})
+        assert len(verify._words(one, [suite])) == 1
+        setattr(one, name, 20001)
+        with pytest.raises(ValueError, match="is 100005 Nielsen moves"):
+            verify._words(one, [suite])
     # A suite that draws no automorphisms is not refused for the others'.
-    wide = Bounds(max_order=2, max_word_len=5, theta_samples=1000,
-                  gamma_samples=1000)
-    assert len(verify._words(wide, ["thm2", "remark"])) == 43
-    for suite in ("lemma1", "thm1"):
-        with pytest.raises(ValueError, match="43000 sampled automorphisms"):
-            verify._words(wide, [suite])
+    wide = Bounds(theta_samples=5000, gamma_samples=5000, theta_length=64)
+    assert len(verify._words(wide, ["thm2", "remark"])) == 18
 
 
 @pytest.mark.parametrize("name, suite", [("theta_samples", "lemma1"),
                                          ("gamma_samples", "thm1")])
 def test_a_run_refuses_more_drawn_moves_than_the_cap(name, suite,
                                                      monkeypatch):
-    # Every cap on its own holds: 18 words times 1,000 samples is under
-    # MAX_DRAWS and 64 is MAX_THETA_LENGTH. But the 1,152,000 moves would
-    # run for minutes and past 1 GB, so the run is refused before any draw.
-    def no_draw(*args):
-        raise AssertionError("sampled before the refusal")
-
-    monkeypatch.setattr(verify, "random_automorphism", no_draw)
-    bounds = Bounds(theta_length=verify.MAX_THETA_LENGTH,
-                    **{name: verify.MAX_SAMPLES})
-    message = (f"18 words of length <= 4 times {name} 1000 times "
-               f"theta_length 64 is 1152000 Nielsen moves, more than "
-               f"{verify.MAX_DRAWN_MOVES}; lower --theta-length or "
-               f"--{name.replace('_', '-')}")
-    for run in (run_all, lambda b: run_suite(suite, b)):
-        start = time.perf_counter()
-        with pytest.raises(ValueError) as info:
-            run(bounds)
-        assert time.perf_counter() - start < 0.1
-        assert str(info.value) == message
+    # 18 words times 1,000 samples of 64 Nielsen moves, the longest draw
+    # allowed: 1,152,000 moves would run for minutes and past 1 GB.
+    bounds = Bounds(theta_length=verify.MAX_THETA_LENGTH, **{name: 1000})
+    refused_draws(name, suite, monkeypatch, bounds,
+                  move_bound_message(18, 4, name, 1000, 64))
 
 
 def test_the_move_cap_admits_the_runs_in_use():
     # The defaults, 1,000 samples at the default theta_length (90,000
     # moves) and 60 samples of 64 moves (69,120) pass; 87 of 64 do not.
-    for bounds in (Bounds(), Bounds(theta_samples=verify.MAX_SAMPLES,
-                                    gamma_samples=verify.MAX_SAMPLES),
+    for bounds in (Bounds(), Bounds(theta_samples=1000, gamma_samples=1000),
                    Bounds(theta_samples=60, gamma_samples=60,
                           theta_length=64)):
         assert len(verify._words(bounds, SUITES)) == 18
-    assert 18 * verify.MAX_SAMPLES * Bounds.theta_length \
-        <= verify.MAX_DRAWN_MOVES < 18 * 87 * 64
     with pytest.raises(ValueError, match="is 100224 Nielsen moves"):
         verify._words(Bounds(theta_samples=87, theta_length=64), ["lemma1"])
     # A suite that draws no automorphisms is not refused for the others'.
